@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import hard_decision, saturate
+from .core import PatternTag, hard_decision, llr_sum, saturate
 
 # GF(2^4) generated by the primitive polynomial x^4 + x + 1.
 _PRIMITIVE_POLY = 0b10011
@@ -51,6 +51,9 @@ class BchVariant(Enum):
     @property
     def generator(self) -> np.ndarray:
         return _G1 if self is BchVariant.T1 else _G2
+
+
+VARIANT_BY_TAG = {PatternTag.BCH_T1: BchVariant.T1, PatternTag.BCH_T2: BchVariant.T2}
 
 
 def _gf_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,9 +201,7 @@ def bch_node_decode(
         ext = corrected.sum(axis=-1) % 2
         candidate = np.concatenate([corrected, ext[..., None].astype(np.uint8)], axis=-1)
         return np.where(np.asarray(ok)[..., None], candidate, bits)
-    folded = np.add(alpha[..., repeated_position], alpha[..., 15], dtype=np.int64) \
-        if np.issubdtype(alpha.dtype, np.integer) \
-        else alpha[..., repeated_position] + alpha[..., 15]
+    folded = llr_sum(alpha[..., [repeated_position, 15]])
     if width is not None:
         folded = saturate(folded, width)
     llr15 = np.array(alpha[..., :15])

@@ -29,18 +29,39 @@ class PatternTag(Enum):
     SLOW = "slow"
 
 
+# The eight frozen-pattern node shapes, in matcher priority order.
+# ("frozen", c) freezes the first c u-bits of a node; ("info", c) keeps only
+# the last c as information. A node of size M has the shape only when M > c.
+NODE_SHAPES = {
+    PatternTag.RATE0: ("info", 0),
+    PatternTag.RATE1: ("frozen", 0),
+    PatternTag.REP: ("info", 1),
+    PatternTag.SPC: ("frozen", 1),
+    PatternTag.SPC2: ("frozen", 2),
+    PatternTag.REP2: ("info", 2),
+    PatternTag.RPC: ("frozen", 3),
+    PatternTag.PCR: ("info", 3),
+}
+
+
+def frozen_prefix(tag: PatternTag, M: int) -> int:
+    """Number of leading frozen u-bits of a size-M node with a NODE_SHAPES tag."""
+    kind, c = NODE_SHAPES[tag]
+    return c if kind == "frozen" else M - c
+
+
+def node_frozen_mask(tag: PatternTag, M: int) -> np.ndarray:
+    """Frozen mask of a size-M node with a NODE_SHAPES tag: True where frozen."""
+    if tag not in NODE_SHAPES or M <= NODE_SHAPES[tag][1]:
+        raise ValueError(f"no {tag} node of size {M}")
+    return np.arange(M) < frozen_prefix(tag, M)
+
+
 # Bijection between the ten fast tags and their per-segment information counts.
 FAST_TAG_BY_K = {
-    0: PatternTag.RATE0,
-    1: PatternTag.REP,
-    2: PatternTag.REP2,
-    3: PatternTag.PCR,
+    **{SEGMENT_SIZE - frozen_prefix(tag, SEGMENT_SIZE): tag for tag in NODE_SHAPES},
     7: PatternTag.BCH_T2,
     11: PatternTag.BCH_T1,
-    13: PatternTag.RPC,
-    14: PatternTag.SPC2,
-    15: PatternTag.SPC,
-    16: PatternTag.RATE1,
 }
 K_BY_FAST_TAG = {tag: k for k, tag in FAST_TAG_BY_K.items()}
 FAST_SEGMENT_KS = frozenset(FAST_TAG_BY_K)
@@ -214,6 +235,13 @@ def hard_decision(alpha):
     if arr.ndim == 0:
         return int(bits)
     return bits
+
+
+def llr_sum(alpha: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum LLRs along an axis; integer LLRs add in int64 so no partial sum wraps."""
+    if np.issubdtype(alpha.dtype, np.integer):
+        return alpha.sum(axis=axis, dtype=np.int64)
+    return alpha.sum(axis=axis)
 
 
 def saturating_add(a: QuantizedLLR, b: QuantizedLLR) -> QuantizedLLR:

@@ -7,19 +7,23 @@ reference path or saturating integers when a width is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bch import BchVariant, bch_node_decode
+from .bch import VARIANT_BY_TAG, bch_node_decode
 from .core import (
     BCH_TAGS,
+    NODE_SHAPES,
     SEGMENT_SIZE,
     CodeSpec,
     FastPolarCode,
     PatternTag,
     QuantizedLLR,
     TraversalStats,
+    frozen_prefix,
     hard_decision,
+    llr_sum,
     saturate,
 )
 from .encoder import bch_message_positions, polar_transform
@@ -69,71 +73,40 @@ def parallel_min_mask(amplitudes, magnitude_bits: int) -> np.ndarray:
     return ~eliminated
 
 
-def _wagner(alpha: np.ndarray, width: int | None) -> np.ndarray:
-    """Wagner SPC decode: flip the weakest position when the parity fails.
+def decode_rep(alpha, width: int | None = None, stride: int = 1) -> np.ndarray:
+    """Repetition decode: one hard decision on the LLR sum of each residue class
+    mod stride, so stride 1 decodes REP and stride 2 decodes REP-2."""
+    alpha = np.asarray(alpha)
+    out = np.empty(alpha.shape, dtype=np.uint8)
+    for r in range(stride):
+        total = llr_sum(alpha[..., r::stride])
+        if width is not None:
+            total = saturate(total, width)
+        out[..., r::stride] = np.asarray(hard_decision(total), dtype=np.uint8)[..., None]
+    return out
+
+
+def decode_spc(alpha, width: int | None = None, stride: int = 1) -> np.ndarray:
+    """Wagner decode of each residue class mod stride: flip the weakest position
+    of a class whose parity fails. Stride 1 decodes SPC, stride 2 SPC-2.
 
     Duplicate minima resolve to the lowest index. The quantized path locates
     the minimum through the bit-plane mask, the float path through argmin.
     """
-    bits = np.atleast_1d(hard_decision(alpha))
-    parity = np.bitwise_xor.reduce(bits, axis=-1)
-    if width is None:
-        weakest = np.argmin(np.abs(alpha), axis=-1)
-    else:
-        mask = parallel_min_mask(np.abs(np.asarray(alpha)), width - 1)
-        weakest = np.argmax(mask, axis=-1)
-    flip = np.zeros_like(bits)
-    np.put_along_axis(flip, np.asarray(weakest)[..., None],
-                      np.asarray(parity)[..., None].astype(np.uint8), axis=-1)
-    return bits ^ flip
-
-
-def decode_classic_node(pattern, alpha, width: int | None = None) -> np.ndarray:
-    """Decode a Rate0 / Rate1 / REP / SPC node of any size in one shot."""
-    tag = PatternTag(pattern) if not isinstance(pattern, PatternTag) else pattern
     alpha = np.asarray(alpha)
-    if tag is PatternTag.RATE0:
-        return np.zeros(alpha.shape, dtype=np.uint8)
-    if tag is PatternTag.RATE1:
-        return np.atleast_1d(hard_decision(alpha))
-    if tag is PatternTag.REP:
-        total = alpha.sum(axis=-1, dtype=np.int64) \
-            if np.issubdtype(alpha.dtype, np.integer) else alpha.sum(axis=-1)
-        if width is not None:
-            total = saturate(total, width)
-        bit = np.asarray(hard_decision(total), dtype=np.uint8)
-        return np.broadcast_to(bit[..., None], alpha.shape).copy()
-    if tag is PatternTag.SPC:
-        return _wagner(alpha, width)
-    raise ValueError(f"not a classic pattern: {tag}")
-
-
-def decode_spc2(alpha, width: int | None = None) -> np.ndarray:
-    """Decode an SPC-2 node as two interleaved Wagner-SPC decodes."""
-    alpha = np.asarray(alpha)
-    if alpha.shape[-1] < 4:
-        raise ValueError("SPC-2 nodes need at least 4 values")
     out = np.empty(alpha.shape, dtype=np.uint8)
-    out[..., 0::2] = _wagner(alpha[..., 0::2], width)
-    out[..., 1::2] = _wagner(alpha[..., 1::2], width)
-    return out
-
-
-def decode_rep2(alpha, width: int | None = None) -> np.ndarray:
-    """Decode a REP-2 node as two interleaved repetition decisions."""
-    alpha = np.asarray(alpha)
-    if alpha.shape[-1] < 4:
-        raise ValueError("REP-2 nodes need at least 4 values")
-    integer = np.issubdtype(alpha.dtype, np.integer)
-    sums = [
-        alpha[..., 0::2].sum(axis=-1, dtype=np.int64) if integer else alpha[..., 0::2].sum(axis=-1),
-        alpha[..., 1::2].sum(axis=-1, dtype=np.int64) if integer else alpha[..., 1::2].sum(axis=-1),
-    ]
-    if width is not None:
-        sums = [saturate(s, width) for s in sums]
-    out = np.empty(alpha.shape, dtype=np.uint8)
-    out[..., 0::2] = np.asarray(hard_decision(sums[0]), dtype=np.uint8)[..., None]
-    out[..., 1::2] = np.asarray(hard_decision(sums[1]), dtype=np.uint8)[..., None]
+    for r in range(stride):
+        part = alpha[..., r::stride]
+        bits = np.atleast_1d(hard_decision(part))
+        parity = np.bitwise_xor.reduce(bits, axis=-1)
+        if width is None:
+            weakest = np.argmin(np.abs(part), axis=-1)
+        else:
+            weakest = np.argmax(parallel_min_mask(np.abs(part), width - 1), axis=-1)
+        flip = np.zeros_like(bits)
+        np.put_along_axis(flip, np.asarray(weakest)[..., None],
+                          np.asarray(parity)[..., None].astype(np.uint8), axis=-1)
+        out[..., r::stride] = bits ^ flip
     return out
 
 
@@ -158,11 +131,8 @@ def decode_rpc(alpha, width: int | None = None) -> np.ndarray:
     mag = np.abs(view)
     delta = mag.min(axis=-2)
     weakest = mag.argmin(axis=-2)
-    integer = np.issubdtype(alpha.dtype, np.integer)
-    if integer:
-        delta = delta.astype(np.int64)
-    cost_ones = np.where(c == 1, delta, 0).sum(axis=-1)
-    cost_zeros = np.where(c == 0, delta, 0).sum(axis=-1)
+    cost_ones = llr_sum(np.where(c == 1, delta, 0))
+    cost_zeros = llr_sum(np.where(c == 0, delta, 0))
     flip_ones = cost_ones <= cost_zeros
     flip_group = np.where(np.asarray(flip_ones)[..., None], c == 1, c == 0)
     flips = np.zeros(bits.shape, dtype=np.uint8)
@@ -172,14 +142,18 @@ def decode_rpc(alpha, width: int | None = None) -> np.ndarray:
 
 
 def decode_pcr(alpha, width: int | None = None) -> np.ndarray:
-    """Decode a PCR node: Wagner-decode the four group LLR sums, then broadcast."""
+    """Decode a PCR node: Wagner-decode the four group LLR sums, then broadcast.
+
+    Float decoding is ML. In fixed point each group sum saturates, so the
+    decode is ML only while |alpha| <= saturation_limit(width) // (M // 4),
+    where no sum of M // 4 values can pass the rail.
+    """
     alpha = np.asarray(alpha)
     view = _group_view(alpha)
-    integer = np.issubdtype(alpha.dtype, np.integer)
-    delta = view.sum(axis=-2, dtype=np.int64) if integer else view.sum(axis=-2)
+    delta = llr_sum(view, axis=-2)
     if width is not None:
         delta = saturate(delta, width)
-    group_bits = _wagner(delta, width)
+    group_bits = decode_spc(delta, width)
     out = np.broadcast_to(group_bits[..., None, :], view.shape)
     return np.ascontiguousarray(out).reshape(alpha.shape)
 
@@ -208,21 +182,7 @@ class PatternLimits:
         if tag in BCH_TAGS:
             return size == SEGMENT_SIZE
         cap = getattr(self, tag.value)
-        if cap is not None and size > cap:
-            return False
-        return size >= _MIN_NODE_SIZE[tag]
-
-
-_MIN_NODE_SIZE = {
-    PatternTag.RATE0: 1,
-    PatternTag.RATE1: 1,
-    PatternTag.REP: 2,
-    PatternTag.SPC: 2,
-    PatternTag.SPC2: 4,
-    PatternTag.REP2: 4,
-    PatternTag.RPC: 4,
-    PatternTag.PCR: 4,
-}
+        return NODE_SHAPES[tag][1] < size and (cap is None or size <= cap)
 
 
 DEFAULT_LIMITS = PatternLimits()
@@ -242,34 +202,22 @@ class TreeNode:
     children: tuple["TreeNode", ...] = ()
 
 
-def _match_span(mask, start, size, limits, bch_segments):
-    lo_seg = start // SEGMENT_SIZE
+def _match_span(frozen_before, start, size, limits, bch_segments):
+    """Tag of the first NODE_SHAPES row the span matches; frozen_before[i] is
+    the number of frozen u-bits below index i."""
     if bch_segments and size >= SEGMENT_SIZE:
-        inside = [t for t in bch_segments if start <= SEGMENT_SIZE * t < start + size]
-        if inside:
-            return bch_segments[lo_seg] if size == SEGMENT_SIZE else None
-    local = mask[start:start + size]
-    nf = int(local.sum())
-    k = size - nf
-    if nf == size and limits.allows(PatternTag.RATE0, size):
-        return PatternTag.RATE0
-    if nf == 0 and limits.allows(PatternTag.RATE1, size):
-        return PatternTag.RATE1
-    if k == 1 and not local[-1] and limits.allows(PatternTag.REP, size):
-        return PatternTag.REP
-    if nf == 1 and local[0] and limits.allows(PatternTag.SPC, size):
-        return PatternTag.SPC
-    if nf == 2 and local[0] and local[1] and limits.allows(PatternTag.SPC2, size):
-        return PatternTag.SPC2
-    if k == 2 and not local[-1] and not local[-2] \
-            and limits.allows(PatternTag.REP2, size):
-        return PatternTag.REP2
-    if nf == 3 and local[0] and local[1] and local[2] \
-            and limits.allows(PatternTag.RPC, size):
-        return PatternTag.RPC
-    if k == 3 and not local[-1] and not local[-2] and not local[-3] \
-            and limits.allows(PatternTag.PCR, size):
-        return PatternTag.PCR
+        first = start // SEGMENT_SIZE
+        if not bch_segments.keys().isdisjoint(range(first, first + size // SEGMENT_SIZE)):
+            return bch_segments[first] if size == SEGMENT_SIZE else None
+    base = frozen_before[start]
+    nf = frozen_before[start + size] - base
+    for tag in NODE_SHAPES:
+        prefix = frozen_prefix(tag, size)
+        # The span has the shape's mask exactly when it holds `prefix` frozen
+        # bits, all of them in its first `prefix` positions.
+        if nf == prefix and frozen_before[start + prefix] - base == prefix \
+                and limits.allows(tag, size):
+            return tag
     return None
 
 
@@ -278,10 +226,10 @@ def build_tree(code: CodeSpec | FastPolarCode, limits: PatternLimits | None = No
     limits = limits if limits is not None else DEFAULT_LIMITS
     spec = code.spec if isinstance(code, FastPolarCode) else code
     bch = code.bch_segments if isinstance(code, FastPolarCode) else {}
-    mask = spec.frozen_mask
+    frozen_before = [0, *np.cumsum(spec.frozen_mask).tolist()]
 
     def rec(start: int, size: int) -> TreeNode:
-        tag = _match_span(mask, start, size, limits, bch)
+        tag = _match_span(frozen_before, start, size, limits, bch)
         if tag is not None:
             return TreeNode(start, size, tag)
         if size == 1:
@@ -329,21 +277,31 @@ class DecodeResult:
 
 
 _NODE_DECODERS = {
-    PatternTag.SPC2: decode_spc2,
-    PatternTag.REP2: decode_rep2,
+    PatternTag.RATE0: lambda alpha, width: np.zeros(alpha.shape, dtype=np.uint8),
+    PatternTag.RATE1: lambda alpha, width: np.atleast_1d(hard_decision(alpha)),
+    PatternTag.REP: decode_rep,
+    PatternTag.SPC: decode_spc,
+    PatternTag.SPC2: partial(decode_spc, stride=2),
+    PatternTag.REP2: partial(decode_rep, stride=2),
     PatternTag.RPC: decode_rpc,
     PatternTag.PCR: decode_pcr,
+    **{tag: partial(bch_node_decode, variant=variant) for tag, variant in VARIANT_BY_TAG.items()},
 }
 
 
+def decode_node(tag, alpha, width: int | None = None) -> np.ndarray:
+    """Decode one node of any fast pattern tag, float or width-bit fixed point."""
+    tag = PatternTag(tag)
+    alpha = np.asarray(alpha)
+    if tag not in _NODE_DECODERS:
+        raise ValueError(f"no node decoder for {tag}")
+    if tag in NODE_SHAPES and alpha.shape[-1] <= NODE_SHAPES[tag][1]:
+        raise ValueError(f"{tag.value} nodes need more than {NODE_SHAPES[tag][1]} values")
+    return _NODE_DECODERS[tag](alpha, width=width)
+
+
 def _decode_terminal(node: TreeNode, alpha, width):
-    tag = node.tag
-    if tag in (PatternTag.RATE0, PatternTag.RATE1, PatternTag.REP, PatternTag.SPC):
-        return decode_classic_node(tag, alpha, width)
-    if tag in (PatternTag.BCH_T1, PatternTag.BCH_T2):
-        variant = BchVariant.T1 if tag is PatternTag.BCH_T1 else BchVariant.T2
-        return bch_node_decode(alpha, variant, width)
-    return _NODE_DECODERS[tag](alpha, width)
+    return decode_node(node.tag, alpha, width)
 
 
 def _walk(node: TreeNode, alpha, width):
@@ -366,9 +324,8 @@ def _extract_info(code: CodeSpec | FastPolarCode, u_hat: np.ndarray) -> np.ndarr
         base = SEGMENT_SIZE * t
         block = u_hat[..., base:base + SEGMENT_SIZE]
         if t in code.bch_segments:
-            variant = BchVariant.T1 if seg.tag is PatternTag.BCH_T1 else BchVariant.T2
             word = polar_transform(block)
-            parts.append(word[..., bch_message_positions(variant)])
+            parts.append(word[..., bch_message_positions(VARIANT_BY_TAG[seg.tag])])
         elif seg.k:
             parts.append(block[..., SEGMENT_SIZE - seg.k:])
     return np.concatenate(parts, axis=-1)

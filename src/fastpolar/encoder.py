@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bch import BchVariant, bch_encode
-from .core import SEGMENT_SIZE, CodeSpec, FastPolarCode, PatternTag, _is_power_of_two
+from .bch import VARIANT_BY_TAG, BchVariant, bch_encode
+from .core import SEGMENT_SIZE, CodeSpec, FastPolarCode, _is_power_of_two
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
@@ -26,10 +26,6 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
         x = x.reshape(*lead, N)
         h *= 2
     return x
-
-
-def _bch_variant(tag: PatternTag) -> BchVariant:
-    return BchVariant.T1 if tag is PatternTag.BCH_T1 else BchVariant.T2
 
 
 def bch_message_positions(variant: BchVariant) -> np.ndarray:
@@ -56,7 +52,7 @@ def encode(code: CodeSpec | FastPolarCode, info: np.ndarray) -> np.ndarray:
             base = SEGMENT_SIZE * t
             chunk = info[..., offset:offset + seg.k]
             if t in code.bch_segments:
-                word = bch_encode(chunk, _bch_variant(seg.tag))
+                word = bch_encode(chunk, VARIANT_BY_TAG[seg.tag])
                 u[..., base:base + SEGMENT_SIZE] = polar_transform(word)
             else:
                 u[..., base + SEGMENT_SIZE - seg.k:base + SEGMENT_SIZE] = chunk

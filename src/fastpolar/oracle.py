@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchVariant, bch_encode
-from .core import CodeSpec, FastPolarCode, PatternTag, hard_decision
+from .bch import VARIANT_BY_TAG, bch_encode
+from .core import CodeSpec, FastPolarCode, PatternTag, hard_decision, node_frozen_mask
 from .decoder import f_check, g_bit
 from .encoder import polar_transform
 
@@ -27,40 +27,17 @@ class NodeCodebook:
             raise ValueError("codebook contains duplicate words")
 
 
-def _node_frozen_mask(kind: PatternTag, M: int) -> np.ndarray:
-    mask = np.zeros(M, dtype=bool)
-    if kind is PatternTag.RATE0:
-        mask[:] = True
-    elif kind is PatternTag.RATE1:
-        pass
-    elif kind is PatternTag.REP:
-        mask[:-1] = True
-    elif kind is PatternTag.SPC:
-        mask[0] = True
-    elif kind is PatternTag.SPC2:
-        mask[:2] = True
-    elif kind is PatternTag.REP2:
-        mask[:-2] = True
-    elif kind is PatternTag.RPC:
-        mask[:3] = True
-    elif kind is PatternTag.PCR:
-        mask[:-3] = True
-    else:
-        raise ValueError(f"cannot enumerate kind {kind}")
-    return mask
-
-
 def enumerate_codebook(kind, M: int) -> NodeCodebook:
     """Every valid M-bit word of a node kind, generated by sweeping the free u bits."""
-    kind = PatternTag(kind) if not isinstance(kind, PatternTag) else kind
-    if kind in (PatternTag.BCH_T1, PatternTag.BCH_T2):
+    kind = PatternTag(kind)
+    if kind in VARIANT_BY_TAG:
         if M != 16:
             raise ValueError("BCH nodes have length 16")
-        variant = BchVariant.T1 if kind is PatternTag.BCH_T1 else BchVariant.T2
+        variant = VARIANT_BY_TAG[kind]
         k = variant.k
         messages = ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
         return NodeCodebook(kind, M, _lex_sorted(bch_encode(messages, variant)))
-    mask = _node_frozen_mask(kind, M)
+    mask = node_frozen_mask(kind, M)
     k = int(M - mask.sum())
     if k > _MAX_ENUM_BITS:
         raise ValueError(f"codebook too large to enumerate: 2^{k} words")

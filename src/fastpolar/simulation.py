@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -236,12 +237,13 @@ def write_records_csv(records, path) -> None:
 
 
 def _git_revision() -> str:
+    """Commit of the checkout holding this package, whatever the caller's directory."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=10)
+                             text=True, timeout=10, cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return "unknown"
 

@@ -18,11 +18,7 @@ from fastpolar.construction import InfeasibleConstructionError, construct_fast_p
 from fastpolar.core import PatternTag
 from fastpolar.decoder import (
     SC_EQUIVALENT_LIMITS,
-    decode_classic_node,
-    decode_pcr,
-    decode_rep2,
-    decode_rpc,
-    decode_spc2,
+    decode_node,
     fast_sc_decode,
     parallel_min_mask,
 )
@@ -36,18 +32,12 @@ TRIALS = 100_000
 def test_criterion_1_node_decoders_match_exhaustive_ml():
     started = time.monotonic()
     rng = np.random.default_rng(101)
-    decoders = [
-        (PatternTag.SPC2, decode_spc2),
-        (PatternTag.REP2, decode_rep2),
-        (PatternTag.RPC, decode_rpc),
-        (PatternTag.PCR, decode_pcr),
-        (PatternTag.SPC, lambda a: decode_classic_node(PatternTag.SPC, a)),
-    ]
-    for tag, decoder in decoders:
+    tags = (PatternTag.SPC2, PatternTag.REP2, PatternTag.RPC, PatternTag.PCR, PatternTag.SPC)
+    for tag in tags:
         for M in (4, 8):
             codebook = enumerate_codebook(tag, M)
             alpha = rng.normal(size=(TRIALS, M))
-            fast_metric = ((1.0 - 2.0 * decoder(alpha)) * alpha).sum(axis=-1)
+            fast_metric = ((1.0 - 2.0 * decode_node(tag, alpha)) * alpha).sum(axis=-1)
             best_metric = ((1.0 - 2.0 * ml_decode(codebook, alpha)) * alpha).sum(axis=-1)
             assert np.allclose(fast_metric, best_metric), (tag, M)
     assert time.monotonic() - started < 60

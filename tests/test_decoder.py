@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
-from fastpolar.construction import construct_fast_polar, construct_polar
-from fastpolar.core import CodeSpec, PatternTag, QuantizedLLR
+from fastpolar.construction import classify_segment, construct_fast_polar, construct_polar
+from fastpolar.core import (
+    NODE_SHAPES,
+    SEGMENT_SIZE,
+    CodeSpec,
+    PatternTag,
+    QuantizedLLR,
+    node_frozen_mask,
+    saturation_limit,
+)
 from fastpolar.decoder import (
     DEFAULT_LIMITS,
     SC_EQUIVALENT_LIMITS,
     PatternLimits,
     build_tree,
-    decode_classic_node,
-    decode_pcr,
-    decode_rep2,
-    decode_rpc,
-    decode_spc2,
+    decode_node,
     f_check,
     fast_sc_decode,
     g_bit,
@@ -40,52 +44,58 @@ def test_g_bit_signed_add():
 
 
 def test_classic_nodes():
-    assert list(decode_classic_node(PatternTag.RATE0, np.array([-9.0, 2.0]))) == [0, 0]
-    assert list(decode_classic_node(PatternTag.RATE1, np.array([1.0, -2.0, 0.0]))) == [0, 1, 0]
-    assert list(decode_classic_node(PatternTag.REP, np.array([1.0, 1.0, -3.0, 0.0]))) == [1, 1, 1, 1]
-    assert list(decode_classic_node(PatternTag.SPC, np.array([1.0, -2.0, 3.0, 4.0]))) == [1, 1, 0, 0]
+    assert list(decode_node(PatternTag.RATE0, np.array([-9.0, 2.0]))) == [0, 0]
+    assert list(decode_node(PatternTag.RATE1, np.array([1.0, -2.0, 0.0]))) == [0, 1, 0]
+    assert list(decode_node(PatternTag.REP, np.array([1.0, 1.0, -3.0, 0.0]))) == [1, 1, 1, 1]
+    assert list(decode_node(PatternTag.SPC, np.array([1.0, -2.0, 3.0, 4.0]))) == [1, 1, 0, 0]
 
 
 def test_spc_passes_when_parity_holds():
     alpha = np.array([1.0, -2.0, 3.0, -4.0])
-    assert list(decode_classic_node(PatternTag.SPC, alpha)) == [0, 1, 0, 1]
+    assert list(decode_node(PatternTag.SPC, alpha)) == [0, 1, 0, 1]
 
 
 def test_spc2_interleaves_two_wagner_decodes():
-    assert list(decode_spc2(np.array([1.0, -2.0, 3.0, -4.0]))) == [0, 1, 0, 1]
-    assert not decode_spc2(np.abs(np.random.default_rng(0).normal(size=8)) + 0.1).any()
+    spc2 = PatternTag.SPC2
+    assert list(decode_node(spc2, np.array([1.0, -2.0, 3.0, -4.0]))) == [0, 1, 0, 1]
+    assert not decode_node(spc2, np.abs(np.random.default_rng(0).normal(size=8)) + 0.1).any()
     # odd parity on the even sublist flips its weakest member
-    out = decode_spc2(np.array([1.0, 5.0, -3.0, 6.0, 4.0, 7.0, 2.0, 8.0]))
+    out = decode_node(spc2, np.array([1.0, 5.0, -3.0, 6.0, 4.0, 7.0, 2.0, 8.0]))
     assert list(out) == [1, 0, 1, 0, 0, 0, 0, 0]
 
 
 def test_rep2_fills_even_and_odd_independently():
-    assert list(decode_rep2(np.array([1.0, 2.0, -3.0, 4.0]))) == [1, 0, 1, 0]
-    assert list(decode_rep2(-np.ones(8))) == [1] * 8
+    rep2 = PatternTag.REP2
+    assert list(decode_node(rep2, np.array([1.0, 2.0, -3.0, 4.0]))) == [1, 0, 1, 0]
+    assert list(decode_node(rep2, -np.ones(8))) == [1] * 8
     # zero even-sum resolves to 0
-    assert list(decode_rep2(np.array([2.0, -5.0, -2.0, -1.0]))) == [0, 1, 0, 1]
+    assert list(decode_node(rep2, np.array([2.0, -5.0, -2.0, -1.0]))) == [0, 1, 0, 1]
 
 
 def test_rpc_hand_traces():
-    out = decode_rpc(np.array([1.0, -2.0, 3.0, 4.0, -5.0, 6.0, 7.0, 8.0]))
+    rpc = PatternTag.RPC
+    out = decode_node(rpc, np.array([1.0, -2.0, 3.0, 4.0, -5.0, 6.0, 7.0, 8.0]))
     assert list(out) == [1, 0, 0, 0, 1, 0, 0, 0]
-    assert list(decode_rpc(np.array([1.0, 1.0, 1.0, -1.0]))) == [0, 0, 0, 0]
+    assert list(decode_node(rpc, np.array([1.0, 1.0, 1.0, -1.0]))) == [0, 0, 0, 0]
     clean = np.array([3.0, -4.0, 5.0, -6.0, 7.0, -8.0, 9.0, -10.0])
-    assert list(decode_rpc(clean)) == [0, 1, 0, 1, 0, 1, 0, 1]
+    assert list(decode_node(rpc, clean)) == [0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_pcr_hand_traces():
-    assert list(decode_pcr(np.array([1.0, -2.0, 3.0, -4.0]))) == [0, 1, 0, 1]
-    assert not decode_pcr(np.full(8, 2.0)).any()
-    assert list(decode_pcr(np.array([1.0, 1.0, 1.0, -2.0]))) == [1, 0, 0, 1]
+    pcr = PatternTag.PCR
+    assert list(decode_node(pcr, np.array([1.0, -2.0, 3.0, -4.0]))) == [0, 1, 0, 1]
+    assert not decode_node(pcr, np.full(8, 2.0)).any()
+    assert list(decode_node(pcr, np.array([1.0, 1.0, 1.0, -2.0]))) == [1, 0, 0, 1]
 
 
 def test_node_decoders_validate_size():
-    for fn in (decode_spc2, decode_rep2, decode_rpc, decode_pcr):
+    for tag, (_, c) in NODE_SHAPES.items():
         with pytest.raises(ValueError):
-            fn(np.ones(2))
+            decode_node(tag, np.ones(c))
     with pytest.raises(ValueError):
-        decode_rpc(np.ones(6))
+        decode_node(PatternTag.RPC, np.ones(6))
+    with pytest.raises(ValueError):
+        decode_node(PatternTag.SLOW, np.ones(16))
 
 
 def test_parallel_min_mask_hand_trace():
@@ -122,42 +132,95 @@ def test_quantized_wagner_matches_float_on_unique_min():
         if (mags == mags.min()).sum() != 1:
             continue
         count += 1
-        fixed = decode_classic_node(PatternTag.SPC, alpha, width=5)
-        floated = decode_classic_node(PatternTag.SPC, alpha.astype(np.float64))
+        fixed = decode_node(PatternTag.SPC, alpha, width=5)
+        floated = decode_node(PatternTag.SPC, alpha.astype(np.float64))
         assert np.array_equal(fixed, floated)
 
 
-@pytest.mark.parametrize("tag,decoder", [
-    (PatternTag.SPC2, decode_spc2),
-    (PatternTag.REP2, decode_rep2),
-    (PatternTag.RPC, decode_rpc),
-    (PatternTag.PCR, decode_pcr),
-])
+def _node_id(tag):
+    return f"{tag}-decode_{tag.value}"
+
+
+def _metric(words, alpha):
+    return ((1.0 - 2.0 * words) * alpha).sum(axis=-1)
+
+
+@pytest.mark.parametrize("tag", list(NODE_SHAPES), ids=_node_id)
 @pytest.mark.parametrize("M", [4, 8])
-def test_new_node_decoders_are_ml(tag, decoder, M):
+def test_new_node_decoders_are_ml(tag, M):
     rng = np.random.default_rng(31)
     codebook = enumerate_codebook(tag, M)
     alpha = rng.normal(size=(2000, M))
-    fast = decoder(alpha)
+    fast = decode_node(tag, alpha)
     best = ml_decode(codebook, alpha)
-    metric_fast = ((1.0 - 2.0 * fast) * alpha).sum(axis=-1)
-    metric_best = ((1.0 - 2.0 * best) * alpha).sum(axis=-1)
-    assert np.allclose(metric_fast, metric_best)
+    assert np.allclose(_metric(fast, alpha), _metric(best, alpha))
 
 
-@pytest.mark.parametrize("tag,decoder", [
-    (PatternTag.SPC2, decode_spc2),
-    (PatternTag.REP2, decode_rep2),
-    (PatternTag.RPC, decode_rpc),
-    (PatternTag.PCR, decode_pcr),
-])
-def test_new_node_outputs_satisfy_frozen_constraints(tag, decoder):
+@pytest.mark.parametrize("tag", list(NODE_SHAPES), ids=_node_id)
+def test_node_decoders_are_ml_in_fixed_point(tag):
+    # Integer metrics are exact, so every in-range input must reach the ML
+    # metric. PCR decodes saturated group sums, which is ML only while no sum
+    # of M // 4 values can pass the rail.
+    rng = np.random.default_rng(67)
+    for width in range(4, 9):
+        for M in (4, 8, 16):
+            codebook = enumerate_codebook(tag, M)
+            limit = saturation_limit(width)
+            if tag is PatternTag.PCR:
+                limit //= M // 4
+            # at most 2^22 metrics per ml_decode call (32 MB)
+            rows = min(3000, 2 ** 22 // len(codebook.codewords))
+            alpha = rng.integers(-limit, limit + 1, size=(rows, M))
+            fast = decode_node(tag, alpha, width=width)
+            best = ml_decode(codebook, alpha)
+            assert np.array_equal(_metric(fast, alpha), _metric(best, alpha)), (width, M)
+
+
+def test_pcr_is_not_ml_once_group_sums_saturate():
+    rng = np.random.default_rng(71)
+    width, M = 4, 16
+    limit = saturation_limit(width)
+    alpha = rng.integers(-limit, limit + 1, size=(3000, M))
+    fast = decode_node(PatternTag.PCR, alpha, width=width)
+    best = ml_decode(enumerate_codebook(PatternTag.PCR, M), alpha)
+    assert (_metric(fast, alpha) < _metric(best, alpha)).any()
+
+
+@pytest.mark.parametrize("tag", [PatternTag.SPC2, PatternTag.REP2, PatternTag.RPC, PatternTag.PCR],
+                         ids=_node_id)
+def test_new_node_outputs_satisfy_frozen_constraints(tag):
     rng = np.random.default_rng(37)
     codebook = enumerate_codebook(tag, 16)
     words = {tuple(w) for w in codebook.codewords}
     alpha = rng.normal(size=(200, 16))
-    for row in decoder(alpha):
+    for row in decode_node(tag, alpha):
         assert tuple(row) in words
+
+
+def test_terminal_nodes_match_their_table_shape():
+    # Every frozen mask of size 2, 4 and 8; CodeSpec needs N >= 2, and size-1
+    # nodes are the leaves of these trees.
+    for M in (2, 4, 8):
+        for bits in range(2 ** M):
+            info = frozenset(i for i in range(M) if not bits >> i & 1)
+            spec = CodeSpec(N=M, K=len(info), info_set=info)
+            for limits in (DEFAULT_LIMITS, SC_EQUIVALENT_LIMITS):
+                _check_terminal_shapes(build_tree(spec, limits), spec.frozen_mask)
+
+
+def _check_terminal_shapes(node, mask):
+    if node.tag is None:
+        for child in node.children:
+            _check_terminal_shapes(child, mask)
+        return
+    span = mask[node.start:node.start + node.size]
+    assert np.array_equal(span, node_frozen_mask(node.tag, node.size)), (node, span)
+
+
+def test_table_rows_classify_as_their_tag():
+    for tag in NODE_SHAPES:
+        mask = node_frozen_mask(tag, SEGMENT_SIZE)
+        assert classify_segment(np.flatnonzero(mask)).tag is tag
 
 
 def test_pattern_limits_allows():

@@ -4,7 +4,7 @@ import pytest
 from fastpolar.bch import BchVariant, bch_encode
 from fastpolar.construction import construct_fast_polar, construct_polar
 from fastpolar.core import CodeSpec, PatternTag
-from fastpolar.decoder import decode_classic_node, g_bit
+from fastpolar.decoder import decode_node, g_bit
 from fastpolar.oracle import NodeCodebook, enumerate_codebook, ml_decode, sc_decode_baseline
 
 
@@ -105,7 +105,7 @@ def test_baseline_sc_rate_one_codeword_is_hard_decision():
         alpha = rng.normal(size=8)
         u = sc_decode_baseline(spec, alpha)
         assert np.array_equal(polar_transform(u),
-                              decode_classic_node(PatternTag.RATE1, alpha))
+                              decode_node(PatternTag.RATE1, alpha))
 
 
 def test_baseline_sc_batch_and_validation():

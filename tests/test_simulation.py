@@ -1,9 +1,12 @@
 import json
 import math
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fastpolar import simulation
 from fastpolar.simulation import (
     RECORD_CSV_HEADER,
     SimConfig,
@@ -168,3 +171,25 @@ def test_manifest_contents_and_stability(tmp_path):
     assert doc["config"]["N"] == 64
     assert doc["config"]["snr_grid_db"] == [2.0]
     assert isinstance(doc["revision"], str) and doc["revision"]
+
+
+def test_manifest_revision_is_the_package_checkout(tmp_path, monkeypatch):
+    package_dir = Path(simulation.__file__).resolve().parent
+    try:
+        probe = subprocess.run(["git", "-C", str(package_dir), "rev-parse", "HEAD"],
+                               capture_output=True, text=True, timeout=10)
+        expected = probe.stdout.strip() if probe.returncode == 0 else "unknown"
+    except OSError:
+        expected = "unknown"
+    monkeypatch.chdir(tmp_path)
+    write_manifest(_tiny_config(), tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["revision"] == expected
+
+
+def test_manifest_survives_a_hanging_git(tmp_path, monkeypatch):
+    def hang(*args, **kwargs):
+        raise subprocess.TimeoutExpired(args[0], kwargs.get("timeout"))
+
+    monkeypatch.setattr(simulation.subprocess, "run", hang)
+    write_manifest(_tiny_config(), tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["revision"] == "unknown"
