@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CodeSpec, FastPolarCode, PatternTag, TraversalStats
-from .decoder import PatternLimits, TreeNode, build_tree, tree_stats
+from .decoder import PatternLimits, TreeNode, decode_plan
 
 STATS_CSV_HEADER = (
     "N,K,terminal_nodes,visited_nodes,edges,edges_directed,f_ops,"
@@ -16,8 +16,8 @@ STATS_CSV_HEADER = (
 def traversal_stats(
     layout: CodeSpec | FastPolarCode, limits: PatternLimits | None = None
 ) -> TraversalStats:
-    """Dispatch the decode tree symbolically (no LLRs) and count the traversal."""
-    return tree_stats(build_tree(layout, limits))
+    """Count the traversal of the layout's decode plan, without decoding anything."""
+    return decode_plan(layout, limits).stats
 
 
 def _node_doc(node: TreeNode) -> dict:
@@ -39,13 +39,12 @@ def export_pruned_tree(
     Both edge conventions are included: "edges" counts each parent-to-child
     edge once, "edges_directed" counts the down and up traversals separately.
     """
-    spec = layout.spec if isinstance(layout, FastPolarCode) else layout
-    root = build_tree(layout, limits)
+    plan = decode_plan(layout, limits)
     return {
-        "N": spec.N,
-        "K": spec.K,
-        "stats": tree_stats(root).as_dict(),
-        "root": _node_doc(root),
+        "N": layout.N,
+        "K": layout.K,
+        "stats": plan.stats.as_dict(),
+        "root": _node_doc(plan.root),
     }
 
 
@@ -60,9 +59,8 @@ def reduction_ratios(baseline: TraversalStats, other: TraversalStats) -> dict:
 
 def stats_csv_row(layout: CodeSpec | FastPolarCode, stats: TraversalStats) -> str:
     """One CSV row matching STATS_CSV_HEADER."""
-    spec = layout.spec if isinstance(layout, FastPolarCode) else layout
     tags = [tag for tag in PatternTag if tag is not PatternTag.SLOW]
     counts = [stats.histogram.get(tag, 0) for tag in tags]
-    fields = [spec.N, spec.K, stats.terminal_nodes, stats.visited_nodes,
+    fields = [layout.N, layout.K, stats.terminal_nodes, stats.visited_nodes,
               stats.edges, 2 * stats.edges, stats.f_ops, *counts]
     return ",".join(str(v) for v in fields)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _field_state(self) -> dict:
+    """Pickle a layout's fields only; what is cached on it is rebuilt on use."""
+    return {f.name: self.__dict__[f.name] for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Polar code layout: mother length N, info count K, and the info index set."""
@@ -121,21 +127,26 @@ class CodeSpec:
     def frozen_set(self) -> frozenset[int]:
         return frozenset(range(self.N)) - self.info_set
 
-    @property
+    @cached_property
     def info_positions(self) -> np.ndarray:
-        """Sorted info indices as an integer array."""
-        return np.array(sorted(self.info_set), dtype=np.int64)
+        """Sorted info indices as a read-only integer array, built once."""
+        positions = np.array(sorted(self.info_set), dtype=np.int64)
+        positions.flags.writeable = False
+        return positions
 
-    @property
+    @cached_property
     def frozen_mask(self) -> np.ndarray:
-        """Boolean mask over u-domain indices, True where frozen."""
+        """Read-only boolean mask over u-domain indices, True where frozen."""
         mask = np.ones(self.N, dtype=bool)
         mask[self.info_positions] = False
+        mask.flags.writeable = False
         return mask
 
     @property
     def segment_count(self) -> int:
         return self.N // SEGMENT_SIZE
+
+    __getstate__ = _field_state
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,8 @@ class FastPolarCode:
     @property
     def K(self) -> int:
         return self.spec.K
+
+    __getstate__ = _field_state
 
 
 def canonical_frozen_mask(k: int) -> np.ndarray:

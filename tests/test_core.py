@@ -58,6 +58,15 @@ def test_code_spec_basic_properties():
     assert not mask[[3, 9, 11, 15]].any()
 
 
+def test_code_spec_arrays_are_built_once_and_read_only():
+    spec = CodeSpec(N=16, K=4, info_set=frozenset({9, 15, 3, 11}))
+    for name in ("info_positions", "frozen_mask"):
+        array = getattr(spec, name)
+        assert getattr(spec, name) is array
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
 def test_code_spec_accepts_plain_iterables():
     spec = CodeSpec(N=8, K=3, info_set=[5, 6, 7])
     assert spec.info_set == frozenset({5, 6, 7})

@@ -1,6 +1,10 @@
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
+import fastpolar.decoder as decoder
 from fastpolar.construction import classify_segment, construct_fast_polar, construct_polar
 from fastpolar.core import (
     NODE_SHAPES,
@@ -17,6 +21,7 @@ from fastpolar.decoder import (
     PatternLimits,
     build_tree,
     decode_node,
+    decode_plan,
     f_check,
     fast_sc_decode,
     g_bit,
@@ -41,6 +46,70 @@ def test_g_bit_signed_add():
     assert g_bit(2.0, 3.0, 1) == 1.0
     assert g_bit(np.int64(14), np.int64(14), 0, width=5) == 15
     assert g_bit(np.int64(-14), np.int64(-14), 0, width=5) == -15
+
+
+_INT8_RANGE = np.arange(-127, 128, dtype=np.int8)
+
+
+def _all_int8_pairs():
+    a, b = np.meshgrid(_INT8_RANGE, _INT8_RANGE, indexing="ij")
+    return a.ravel(), b.ravel()
+
+
+def test_f_check_matches_reference_on_every_int8_pair():
+    a, b = _all_int8_pairs()
+    wide_a, wide_b = a.astype(np.int64), b.astype(np.int64)
+    reference = np.sign(wide_a) * np.sign(wide_b) * np.minimum(np.abs(wide_a), np.abs(wide_b))
+    narrow = f_check(a, b)
+    assert narrow.dtype == np.int8
+    assert np.array_equal(narrow, reference)
+    wide = f_check(wide_a, wide_b)
+    assert wide.dtype == np.int64
+    assert np.array_equal(wide, reference)
+    big_a, big_b = np.random.default_rng(13).integers(-2 ** 40, 2 ** 40, size=(2, 1000))
+    big_reference = np.sign(big_a) * np.sign(big_b) * np.minimum(np.abs(big_a), np.abs(big_b))
+    assert np.array_equal(f_check(big_a, big_b), big_reference)
+
+
+@pytest.mark.parametrize("width", [None, 4, 5, 6, 7, 8])
+def test_g_bit_matches_reference_on_every_int8_pair(width):
+    a, b = _all_int8_pairs()
+    wide_a, wide_b = a.astype(np.int64), b.astype(np.int64)
+    for u in (0, 1):
+        bits = np.full(a.shape, u, dtype=np.uint8)
+        reference = wide_b + (1 - 2 * u) * wide_a
+        if width is not None:
+            limit = saturation_limit(width)
+            reference = np.clip(reference, -limit, limit)
+        assert np.array_equal(g_bit(a, b, bits, width), reference), u
+        assert np.array_equal(g_bit(wide_a, wide_b, bits, width), reference), u
+
+
+def test_f_check_and_g_bit_match_reference_on_floats():
+    rng = np.random.default_rng(19)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.5])
+    a, b = (x.ravel() for x in np.meshgrid(special, special, indexing="ij"))
+    a = np.concatenate([a, rng.normal(size=5000) * 10])
+    b = np.concatenate([b, rng.normal(size=5000) * 10])
+    reference = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    assert np.array_equal(f_check(a, b), reference)
+    finite = np.isfinite(a) & np.isfinite(b)
+    for u in (0, 1):
+        bits = np.full(a.shape, u, dtype=np.uint8)
+        assert np.array_equal(g_bit(a[finite], b[finite], bits[finite]),
+                              b[finite] + (1 - 2 * u) * a[finite])
+    assert g_bit(np.inf, 1.0, 0) == np.inf
+    assert g_bit(np.inf, 1.0, 1) == -np.inf
+
+
+def test_g_bit_dtype_follows_inputs():
+    u = np.array([0, 1], dtype=np.uint8)
+    for dtype in (np.int8, np.int16, np.int64):
+        x = np.array([100, -100], dtype=dtype)
+        assert g_bit(x, x, u, width=8).dtype == dtype
+        # unsaturated sums keep at least 16 bits, so they never wrap
+        assert list(g_bit(x, x, u)) == [200, 0]
+    assert g_bit(np.ones(2), np.ones(2), u).dtype == np.float64
 
 
 def test_classic_nodes():
@@ -341,3 +410,108 @@ def test_fixed_arithmetic_decode_matches_wide_float_when_unsaturated():
     fixed = fast_sc_decode(code, llr, width=8)
     floated = fast_sc_decode(code, llr.astype(np.float64))
     assert np.array_equal(fixed.info_bits, floated.info_bits)
+
+
+# SHA-256 of info_bits and codeword_estimate over widths 4, 5, 8 under default
+# and SC-equivalent limits (see _fixed_point_digest). Computed on the commit
+# before decode plans and int8 LLRs (cc7257d), where fixed-point LLRs were
+# int64 and the tree was walked recursively; integer arithmetic makes them
+# platform-independent.
+FIXED_POINT_DIGESTS = {
+    ("fast", 128): "42e75b35012099075924e16d842a405d11ee57781ff2fb14d1061d7580601168",
+    ("fast", 1024): "5a490e30fcd55dfefbdf0562c39d4f16c4508754671c6bb835d9b293f1f583c5",
+    ("ga", 128): "be675f0388a93b34e018ada16eca124a10630537ea9711d04baf9abb9084b417",
+    ("ga", 1024): "a2c38eef152db4e5e1100acf0f6e5a8fb5a9ac5fd4f8cbd71e02083fd32d09ae",
+}
+
+
+def _fixed_point_digest(layout, N):
+    build = construct_fast_polar if layout == "fast" else construct_polar
+    code = build(N, 7 * N // 8)
+    rng = np.random.default_rng([N, 1 if layout == "fast" else 0])
+    info = rng.integers(0, 2, size=(64, code.K), dtype=np.uint8)
+    x = encode(code, info).astype(np.int64)
+    # integer noise with a spread of about 5, so some frames fail and values
+    # pass the 4- and 5-bit rails
+    llr = (1 - 2 * x) * 10 + rng.integers(-4, 5, size=(4,) + x.shape).sum(axis=0)
+    digest = hashlib.sha256()
+    for width in (4, 5, 8):
+        for limits in (DEFAULT_LIMITS, SC_EQUIVALENT_LIMITS):
+            result = fast_sc_decode(code, llr, width=width, limits=limits)
+            digest.update(result.info_bits.astype(np.uint8).tobytes())
+            digest.update(result.codeword_estimate.astype(np.uint8).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("layout, N", sorted(FIXED_POINT_DIGESTS))
+def test_fixed_point_decode_digest_is_pinned(layout, N):
+    assert _fixed_point_digest(layout, N) == FIXED_POINT_DIGESTS[layout, N]
+
+
+def test_plan_is_compiled_once_per_limits():
+    code = construct_fast_polar(1024, 896, "ga")
+    default = decode_plan(code)
+    assert decode_plan(code, DEFAULT_LIMITS) is default
+    sc = decode_plan(code, SC_EQUIVALENT_LIMITS)
+    assert sc is not default
+    assert sc.stats != default.stats
+    assert len(sc.steps) != len(default.steps)
+    assert decode_plan(code, PatternLimits(spc2=0, rep2=0, rpc=0, pcr=0)) is sc
+    assert fast_sc_decode(code, np.ones(1024), limits=SC_EQUIVALENT_LIMITS).stats == sc.stats
+
+
+def test_equal_layouts_decode_identically_and_stay_picklable():
+    rng = np.random.default_rng(73)
+    llr = rng.integers(-15, 16, size=(16, 1024))
+    first = construct_fast_polar(1024, 896, "ga")
+    fresh = pickle.dumps(first)
+    decoded = fast_sc_decode(first, llr, width=5)
+    second = construct_fast_polar(1024, 896, "ga")
+    assert first == second
+    again = fast_sc_decode(second, llr, width=5)
+    assert np.array_equal(decoded.info_bits, again.info_bits)
+    assert np.array_equal(decoded.codeword_estimate, again.codeword_estimate)
+    # the cached plan and arrays stay out of the pickle
+    assert pickle.dumps(first) == fresh
+    copy = pickle.loads(pickle.dumps(first))
+    assert copy == first
+    assert np.array_equal(fast_sc_decode(copy, llr, width=5).info_bits, decoded.info_bits)
+    plain = construct_polar(1024, 896, "ga")
+    fresh = pickle.dumps(plain)
+    fast_sc_decode(plain, llr, width=5)
+    assert pickle.dumps(plain) == fresh
+
+
+def test_batches_larger_than_a_block_decode_like_small_ones():
+    code = construct_fast_polar(64, 48, "ga")
+    rng = np.random.default_rng(83)
+    llr = rng.normal(size=(2500, 64)) * 3
+    for alpha, width in ((llr, None), (np.clip(np.rint(llr), -15, 15).astype(np.int64), 5)):
+        whole = fast_sc_decode(code, alpha, width=width)
+        parts = [fast_sc_decode(code, chunk, width=width) for chunk in np.split(alpha, 25)]
+        assert np.array_equal(whole.info_bits, np.concatenate([p.info_bits for p in parts]))
+        assert np.array_equal(whole.codeword_estimate,
+                              np.concatenate([p.codeword_estimate for p in parts]))
+        nested = fast_sc_decode(code, alpha.reshape(50, 50, 64), width=width)
+        assert np.array_equal(nested.info_bits.reshape(2500, -1), whole.info_bits)
+
+
+def test_fixed_point_decode_reaches_every_traced_call_site(monkeypatch):
+    # bench/tracing.py times the decoder by wrapping these module attributes; a
+    # decode that stops calling one of them leaves its time uncovered, and a
+    # traced run fails once trace.uncovered_frac passes 0.25.
+    calls = {}
+    for name in ("f_check", "g_bit", "saturate", "_decode_terminal", "polar_transform"):
+        original = getattr(decoder, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.setdefault(_name, []).append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, name, counted)
+    code = construct_fast_polar(1024, 896, "ga")
+    llr = np.random.default_rng(79).integers(-15, 16, size=(2, 1024))
+    fast_sc_decode(code, llr, width=5)
+    assert set(calls) == {"f_check", "g_bit", "saturate", "_decode_terminal", "polar_transform"}
+    assert all(isinstance(args[0].tag, PatternTag) for args in calls["_decode_terminal"])
+    assert len(calls["_decode_terminal"]) == decode_plan(code).stats.terminal_nodes

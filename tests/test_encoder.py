@@ -35,6 +35,30 @@ def test_transform_is_linear():
                           polar_transform(a) ^ polar_transform(b))
 
 
+def _stage_loop_transform(u):
+    """Reference transform: one butterfly stage per doubling of h."""
+    x = np.array(u, dtype=np.uint8)
+    N = x.shape[-1]
+    lead = x.shape[:-1]
+    h = 1
+    while h < N:
+        x = x.reshape(*lead, N // (2 * h), 2, h)
+        x[..., 0, :] ^= x[..., 1, :]
+        x = x.reshape(*lead, N)
+        h *= 2
+    return x
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3, 5)])
+def test_packed_transform_matches_stage_loop(batch):
+    rng = np.random.default_rng(6)
+    for n in range(1, 11):
+        u = rng.integers(0, 2, size=batch + (2 ** n,), dtype=np.uint8)
+        x = polar_transform(u)
+        assert x.dtype == np.uint8 and x.shape == u.shape
+        assert np.array_equal(x, _stage_loop_transform(u)), 2 ** n
+
+
 def test_transform_rejects_bad_length():
     with pytest.raises(ValueError):
         polar_transform(np.zeros(6, dtype=np.uint8))
