@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CodeSpec, FastPolarCode, PatternTag, TraversalStats
+from .core import CodeSpec, PatternTag, TraversalStats
 from .decoder import PatternLimits, TreeNode, decode_plan
 
 STATS_CSV_HEADER = (
@@ -13,9 +13,7 @@ STATS_CSV_HEADER = (
 )
 
 
-def traversal_stats(
-    layout: CodeSpec | FastPolarCode, limits: PatternLimits | None = None
-) -> TraversalStats:
+def traversal_stats(layout: CodeSpec, limits: PatternLimits | None = None) -> TraversalStats:
     """Count the traversal of the layout's decode plan, without decoding anything."""
     return decode_plan(layout, limits).stats
 
@@ -31,9 +29,7 @@ def _node_doc(node: TreeNode) -> dict:
     return doc
 
 
-def export_pruned_tree(
-    layout: CodeSpec | FastPolarCode, limits: PatternLimits | None = None
-) -> dict:
+def export_pruned_tree(layout: CodeSpec, limits: PatternLimits | None = None) -> dict:
     """Hierarchical JSON-ready document of the pruned tree plus its counters.
 
     Both edge conventions are included: "edges" counts each parent-to-child
@@ -57,7 +53,7 @@ def reduction_ratios(baseline: TraversalStats, other: TraversalStats) -> dict:
     }
 
 
-def stats_csv_row(layout: CodeSpec | FastPolarCode, stats: TraversalStats) -> str:
+def stats_csv_row(layout: CodeSpec, stats: TraversalStats) -> str:
     """One CSV row matching STATS_CSV_HEADER."""
     tags = [tag for tag in PatternTag if tag is not PatternTag.SLOW]
     counts = [stats.histogram.get(tag, 0) for tag in tags]

@@ -20,7 +20,6 @@ from .construction import (
     layout_from_dict,
     layout_to_dict,
 )
-from .core import FastPolarCode
 from .simulation import (
     RECORD_CSV_HEADER,
     SimConfig,
@@ -83,10 +82,10 @@ def _cmd_construct(args) -> int:
         return 1
 
     print(f"N={args.n} K={args.k} method={args.method}")
-    if isinstance(layout, FastPolarCode):
+    if args.fast:
         histogram = Counter(seg.tag.value for seg in layout.segments)
         pairs = " ".join(f"{tag}:{count}" for tag, count in sorted(histogram.items()))
-        print(f"segments={layout.spec.segment_count} patterns: {pairs}")
+        print(f"segments={layout.segment_count} patterns: {pairs}")
 
     if args.out:
         doc = layout_to_dict(layout, method=args.method,

@@ -8,14 +8,13 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    FAST_SEGMENT_KS,
-    SEGMENT_SIZE,
     BCH_TAGS,
+    FAST_SEGMENT_KS,
+    FAST_TAG_BY_K,
+    SEGMENT_SIZE,
     CodeSpec,
-    FastPolarCode,
     PatternTag,
     SegmentPattern,
-    canonical_frozen_mask,
     _is_power_of_two,
 )
 
@@ -63,8 +62,12 @@ def _phi_inv_ln(ln_y: np.ndarray) -> np.ndarray:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         above = _ln_phi(mid) > ln_y
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+        new_lo, new_hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        # A step that moves neither bound is a fixed point: the remaining
+        # steps would repeat it, so stopping here changes no bit.
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
@@ -208,8 +211,10 @@ def _reallocate(N: int, K: int, scores: np.ndarray):
 
 def construct_fast_polar(
     N: int, K: int, method: str = "ga", design_snr_db: float = DEFAULT_DESIGN_SNR_DB
-) -> FastPolarCode:
-    """Build a fast-decodable layout via rate re-allocation plus canonicalization."""
+) -> CodeSpec:
+    """Build a fast-decodable layout via rate re-allocation plus canonicalization:
+    every segment gets canonical positions, and those with 7 or 11 info bits
+    carry a BCH codeword."""
     if N < 2 * SEGMENT_SIZE:
         raise ValueError(f"N must provide at least two segments, got {N}")
     if not 0 <= K <= N:
@@ -217,50 +222,49 @@ def construct_fast_polar(
     method = method.lower()
     scores = _reliability_scores(N, method, design_snr_db)
     _, counts, _ = _reallocate(N, K, scores)
-    segments = tuple(SegmentPattern.from_k(k) for k in counts)
     info: set[int] = set()
     for t, k in enumerate(counts):
         base = SEGMENT_SIZE * t
         info.update(range(base + SEGMENT_SIZE - k, base + SEGMENT_SIZE))
-    spec = CodeSpec(N=N, K=K, info_set=frozenset(info))
-    bch = {t: seg.tag for t, seg in enumerate(segments) if seg.tag in BCH_TAGS}
-    return FastPolarCode(spec=spec, segments=segments, bch_segments=bch)
+    bch = {t for t, k in enumerate(counts) if FAST_TAG_BY_K.get(k) in BCH_TAGS}
+    return CodeSpec(N=N, K=K, info_set=frozenset(info), bch_segments=bch)
 
 
 def layout_to_dict(
-    layout: CodeSpec | FastPolarCode,
-    method: str | None = None,
-    design_snr_db: float | None = None,
+    layout: CodeSpec, method: str | None = None, design_snr_db: float | None = None
 ) -> dict:
-    """JSON-ready description of a layout (N, K, info positions, segment tags)."""
-    spec = layout.spec if isinstance(layout, FastPolarCode) else layout
+    """JSON-ready description of a layout (N, K, info positions, segment tags).
+
+    The segment tags are written when every segment has a fast pattern, and
+    they alone mark the BCH segments, so a layout with BCH segments and a slow
+    segment has no description and raises ValueError.
+    """
     doc = {
-        "N": spec.N,
-        "K": spec.K,
+        "N": layout.N,
+        "K": layout.K,
         "method": method,
         "design_snr_db": design_snr_db,
-        "info_set": sorted(int(i) for i in spec.info_set),
+        "info_set": sorted(int(i) for i in layout.info_set),
     }
-    if isinstance(layout, FastPolarCode):
-        doc["segments"] = [seg.tag.value for seg in layout.segments]
+    tags = [seg.tag for seg in layout.segments]
+    if tags and PatternTag.SLOW not in tags:
+        doc["segments"] = [tag.value for tag in tags]
+    elif layout.bch_segments:
+        raise ValueError("only a layout whose every segment is fast can list BCH segments")
     return doc
 
 
-def layout_from_dict(doc: dict) -> CodeSpec | FastPolarCode:
-    """Rebuild a CodeSpec or FastPolarCode from its JSON description."""
+def layout_from_dict(doc: dict) -> CodeSpec:
+    """Rebuild a layout from its JSON description. Segment tags, when given,
+    must name each segment's fast pattern; their BCH tags mark the BCH segments."""
     try:
-        spec = CodeSpec(N=int(doc["N"]), K=int(doc["K"]),
-                        info_set=frozenset(int(i) for i in doc["info_set"]))
+        tags = doc.get("segments")
+        bch = {t for t, name in enumerate(tags or ()) if PatternTag(name) in BCH_TAGS}
+        layout = CodeSpec(N=int(doc["N"]), K=int(doc["K"]),
+                          info_set=frozenset(int(i) for i in doc["info_set"]), bch_segments=bch)
     except KeyError as exc:
         raise ValueError(f"layout document missing key: {exc}") from exc
-    tags = doc.get("segments")
-    if tags is None:
-        return spec
-    mask = spec.frozen_mask
-    segments = []
-    for t, tag_name in enumerate(tags):
-        tag = PatternTag(tag_name)
-        local = mask[SEGMENT_SIZE * t:SEGMENT_SIZE * (t + 1)]
-        segments.append(SegmentPattern(tag, int(SEGMENT_SIZE - local.sum())))
-    bch = {t: seg.tag for t, seg in enumerate(segments) if seg.tag in BCH_TAGS}
-    return FastPolarCode(spec=spec, segments=tuple(segments), bch_segments=bch)
+    if tags is not None and (PatternTag.SLOW.value in tags
+                             or list(tags) != [seg.tag.value for seg in layout.segments]):
+        raise ValueError("segment tags do not name the fast pattern of every segment")
+    return layout

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
@@ -94,18 +94,21 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _field_state(self) -> dict:
-    """Pickle a layout's fields only; what is cached on it is rebuilt on use."""
-    return {f.name: self.__dict__[f.name] for f in fields(self)}
-
-
 @dataclass(frozen=True)
 class CodeSpec:
-    """Polar code layout: mother length N, info count K, and the info index set."""
+    """Polar code layout: mother length N, info count K, the info index set, and
+    the length-16 segments whose u-block carries an extended BCH codeword.
+
+    A BCH segment's info positions are canonical placeholders that fix its
+    information count (7 for BCH_T2, 11 for BCH_T1); its u-block carries the
+    transform of a 16-bit BCH codeword instead. A layout without BCH segments
+    is a plain polar layout.
+    """
 
     N: int
     K: int
     info_set: frozenset[int]
+    bch_segments: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.N) or not 2 <= self.N <= 1024:
@@ -113,10 +116,15 @@ class CodeSpec:
         if not 0 <= self.K <= self.N:
             raise ValueError(f"K out of range: {self.K}")
         object.__setattr__(self, "info_set", frozenset(self.info_set))
+        object.__setattr__(self, "bch_segments", frozenset(self.bch_segments))
         if len(self.info_set) != self.K:
             raise ValueError(f"info_set has {len(self.info_set)} entries, expected K={self.K}")
         if self.info_set and not all(0 <= i < self.N for i in self.info_set):
             raise ValueError("info_set contains out-of-range indices")
+        if not self.bch_segments <= frozenset(range(self.segment_count)):
+            raise ValueError("bch_segments contains out-of-range segment indices")
+        if any(self.segments[t].tag is PatternTag.SLOW for t in self.bch_segments):
+            raise ValueError("a BCH segment needs 7 or 11 info bits at canonical positions")
 
     @property
     def n(self) -> int:
@@ -146,49 +154,23 @@ class CodeSpec:
     def segment_count(self) -> int:
         return self.N // SEGMENT_SIZE
 
-    __getstate__ = _field_state
+    @cached_property
+    def segments(self) -> tuple[SegmentPattern, ...]:
+        """Each segment's pattern: the fast tag of its info count where its
+        positions are canonical and it is a BCH segment exactly when that tag
+        is a BCH tag; SLOW otherwise."""
+        blocks = self.frozen_mask[:SEGMENT_SIZE * self.segment_count].reshape(-1, SEGMENT_SIZE)
+        patterns = []
+        for t, local in enumerate(blocks):
+            k = SEGMENT_SIZE - int(local.sum())
+            fast = np.array_equal(local, canonical_frozen_mask(k)) and \
+                (FAST_TAG_BY_K.get(k) in BCH_TAGS) == (t in self.bch_segments)
+            patterns.append(SegmentPattern.from_k(k) if fast else SegmentPattern(PatternTag.SLOW, k))
+        return tuple(patterns)
 
-
-@dataclass(frozen=True)
-class FastPolarCode:
-    """Fast-decodable layout: every length-16 segment carries a supported pattern.
-
-    The embedded CodeSpec holds the canonical info positions. Inside BCH
-    segments those positions are placeholders that fix the information count;
-    per-bit frozen/info semantics do not apply there (the segment's u-block
-    carries a 16-bit BCH codeword instead).
-    """
-
-    spec: CodeSpec
-    segments: tuple[SegmentPattern, ...]
-    bch_segments: dict[int, PatternTag] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if len(self.segments) != self.spec.segment_count:
-            raise ValueError("segment descriptor count does not match N/16")
-        if any(seg.tag is PatternTag.SLOW for seg in self.segments):
-            raise ValueError("fast layouts cannot contain slow segments")
-        if sum(seg.k for seg in self.segments) != self.spec.K:
-            raise ValueError("segment info counts do not sum to K")
-        bch = {t: seg.tag for t, seg in enumerate(self.segments) if seg.tag in BCH_TAGS}
-        if self.bch_segments != bch:
-            raise ValueError("bch_segments inconsistent with segment tags")
-        mask = self.spec.frozen_mask
-        for t, seg in enumerate(self.segments):
-            local = mask[t * SEGMENT_SIZE:(t + 1) * SEGMENT_SIZE]
-            if not np.array_equal(local, canonical_frozen_mask(seg.k)):
-                raise ValueError(f"segment {t} positions are not canonical for k={seg.k}")
-
-    @property
-    def N(self) -> int:
-        return self.spec.N
-
-    @property
-    def K(self) -> int:
-        return self.spec.K
-
-    __getstate__ = _field_state
+    def __getstate__(self) -> dict:
+        """Pickle the fields only; what is cached on the layout is rebuilt on use."""
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
 
 def canonical_frozen_mask(k: int) -> np.ndarray:

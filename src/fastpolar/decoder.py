@@ -18,7 +18,6 @@ from .core import (
     NODE_SHAPES,
     SEGMENT_SIZE,
     CodeSpec,
-    FastPolarCode,
     PatternTag,
     QuantizedLLR,
     TraversalStats,
@@ -237,12 +236,11 @@ def _match_span(frozen_before, start, size, limits, bch_segments):
     return None
 
 
-def build_tree(code: CodeSpec | FastPolarCode, limits: PatternLimits | None = None) -> TreeNode:
+def build_tree(code: CodeSpec, limits: PatternLimits | None = None) -> TreeNode:
     """Prune the SC tree for a layout: stop at every matched pattern node."""
     limits = limits if limits is not None else DEFAULT_LIMITS
-    spec = code.spec if isinstance(code, FastPolarCode) else code
-    bch = code.bch_segments if isinstance(code, FastPolarCode) else {}
-    frozen_before = [0, *np.cumsum(spec.frozen_mask).tolist()]
+    bch = {t: code.segments[t].tag for t in code.bch_segments}
+    frozen_before = [0, *np.cumsum(code.frozen_mask).tolist()]
 
     def rec(start: int, size: int) -> TreeNode:
         tag = _match_span(frozen_before, start, size, limits, bch)
@@ -256,7 +254,7 @@ def build_tree(code: CodeSpec | FastPolarCode, limits: PatternLimits | None = No
         half = size // 2
         return TreeNode(start, size, None, (rec(start, half), rec(start + half, half)))
 
-    return rec(0, spec.N)
+    return rec(0, code.N)
 
 
 def tree_stats(root: TreeNode) -> TraversalStats:
@@ -328,7 +326,7 @@ class DecodePlan:
     bch_blocks: list[int]
 
 
-def _compile(code: CodeSpec | FastPolarCode, limits: PatternLimits) -> DecodePlan:
+def _compile(code: CodeSpec, limits: PatternLimits) -> DecodePlan:
     root = build_tree(code, limits)
     steps = []
 
@@ -347,11 +345,11 @@ def _compile(code: CodeSpec | FastPolarCode, limits: PatternLimits) -> DecodePla
         steps.append((_COMBINE, stage, bits_left, np.s_[..., start + half:end], None))
 
     emit(root, code.N.bit_length() - 1)
-    bch = sorted(code.bch_segments) if isinstance(code, FastPolarCode) else []
-    return DecodePlan(root, tree_stats(root), tuple(steps), info_gather(code), bch)
+    return DecodePlan(root, tree_stats(root), tuple(steps), info_gather(code),
+                      sorted(code.bch_segments))
 
 
-def decode_plan(code: CodeSpec | FastPolarCode, limits: PatternLimits | None = None) -> DecodePlan:
+def decode_plan(code: CodeSpec, limits: PatternLimits | None = None) -> DecodePlan:
     """The layout's plan under limits, compiled on first use and kept on the layout."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     plans = vars(code).setdefault("_decode_plans", {})
@@ -374,12 +372,13 @@ def _run_plan(plan: DecodePlan, alpha: np.ndarray, bits: np.ndarray, width) -> N
             bits[x] ^= bits[y]
 
 
-def fast_sc_decode(code: CodeSpec | FastPolarCode, alpha, width: int | None = None,
+def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
                    limits: PatternLimits | None = None) -> DecodeResult:
     """Fast SC decode of channel LLRs (..., N), float or width-bit fixed point.
 
     alpha may also be a QuantizedLLR carrying the width. Integer inputs are
-    clamped into the width's range on entry and carried as int8.
+    clamped into the width's range on entry and carried as int8. Float LLRs
+    must be finite: a NaN or +-inf anywhere in alpha raises ValueError.
     """
     if isinstance(alpha, QuantizedLLR):
         width = width if width is not None else alpha.width
@@ -395,6 +394,8 @@ def fast_sc_decode(code: CodeSpec | FastPolarCode, alpha, width: int | None = No
         alpha = saturate(alpha, width).astype(np.int8)
     else:
         alpha = alpha.astype(np.float64, copy=False)
+        if not np.isfinite(alpha).all():
+            raise ValueError("LLRs must be finite: alpha holds NaN or inf")
     plan = decode_plan(code, limits)
     bits = np.empty(alpha.shape, dtype=np.uint8)
     frames, frame_bits = alpha.reshape(-1, code.N), bits.reshape(-1, code.N)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bch import VARIANT_BY_TAG, BchVariant, bch_encode
-from .core import SEGMENT_SIZE, CodeSpec, FastPolarCode, _is_power_of_two
+from .core import SEGMENT_SIZE, CodeSpec, _is_power_of_two
 
 
 def _transform_stages(x: np.ndarray, h: int = 1) -> np.ndarray:
@@ -46,21 +46,19 @@ def bch_message_positions(variant: BchVariant) -> np.ndarray:
     return np.arange(15 - variant.k, 15)
 
 
-def info_gather(code: CodeSpec | FastPolarCode) -> np.ndarray:
+def info_gather(code: CodeSpec) -> np.ndarray:
     """u-domain index of each info bit, in info order. A BCH segment's message
-    bits sit at their systematic positions in its 16-bit codeword."""
-    if not isinstance(code, FastPolarCode) or not code.bch_segments:
-        return (code.spec if isinstance(code, FastPolarCode) else code).info_positions
-    return np.concatenate([SEGMENT_SIZE * t + (
-        bch_message_positions(VARIANT_BY_TAG[seg.tag]) if t in code.bch_segments
-        else np.arange(SEGMENT_SIZE - seg.k, SEGMENT_SIZE)) for t, seg in enumerate(code.segments)])
+    bits sit at their systematic positions in its 16-bit codeword, one place
+    below the segment's canonical placeholders."""
+    positions = code.info_positions
+    return positions - np.isin(positions // SEGMENT_SIZE, list(code.bch_segments))
 
 
-def encode(code: CodeSpec | FastPolarCode, info: np.ndarray) -> np.ndarray:
+def encode(code: CodeSpec, info: np.ndarray) -> np.ndarray:
     """Encode info bits (..., K) into codewords (..., N).
 
-    Non-BCH segments place their info bits at the canonical positions with
-    zeros elsewhere. A BCH segment consumes its k info bits in order, and its
+    Non-BCH segments place their info bits at their info positions with zeros
+    elsewhere. A BCH segment consumes its k info bits in order, and its
     u-block is set to the transform of the 16-bit BCH codeword, so the
     segment's subtree code bits equal that codeword.
     """
@@ -71,10 +69,9 @@ def encode(code: CodeSpec | FastPolarCode, info: np.ndarray) -> np.ndarray:
     source[info_gather(code)] = np.arange(code.K)
     zero = np.zeros(info.shape[:-1] + (1,), dtype=np.uint8)
     u = np.concatenate([info, zero], axis=-1).take(source, axis=-1)  # 7x faster than scattering
-    bch = code.bch_segments if isinstance(code, FastPolarCode) else {}
-    for t, tag in bch.items():
+    for t in code.bch_segments:
         block = u[..., SEGMENT_SIZE * t:SEGMENT_SIZE * (t + 1)]
-        variant = VARIANT_BY_TAG[tag]
+        variant = VARIANT_BY_TAG[code.segments[t].tag]
         message = block[..., bch_message_positions(variant)]
         block[...] = polar_transform(bch_encode(message, variant))
     return polar_transform(u)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import VARIANT_BY_TAG, bch_encode
-from .core import CodeSpec, FastPolarCode, PatternTag, hard_decision, node_frozen_mask
+from .core import CodeSpec, PatternTag, hard_decision, node_frozen_mask
 from .decoder import f_check, g_bit
 from .encoder import polar_transform
 
@@ -66,15 +66,13 @@ def ml_decode(codebook: NodeCodebook, alpha: np.ndarray) -> np.ndarray:
     return words[pick]
 
 
-def sc_decode_baseline(spec: CodeSpec | FastPolarCode, alpha, width: int | None = None):
+def sc_decode_baseline(spec: CodeSpec, alpha, width: int | None = None):
     """Classic bit-by-bit SC over (..., N) LLRs, sharing the decoder's f/g arithmetic.
 
     Plain polar layouts only; BCH segments are rejected.
     """
-    if isinstance(spec, FastPolarCode):
-        if spec.bch_segments:
-            raise ValueError("baseline SC does not handle BCH segments")
-        spec = spec.spec
+    if spec.bch_segments:
+        raise ValueError("baseline SC does not handle BCH segments")
     alpha = np.asarray(alpha)
     if alpha.shape[-1] != spec.N:
         raise ValueError(f"expected {spec.N} LLRs, got {alpha.shape[-1]}")

@@ -5,8 +5,7 @@ import sys
 import pytest
 
 from fastpolar.cli import main, parse_sim_config
-from fastpolar.construction import layout_from_dict
-from fastpolar.core import FastPolarCode
+from fastpolar.construction import construct_fast_polar, layout_from_dict
 
 
 def test_construct_prints_summary(capsys):
@@ -23,8 +22,8 @@ def test_construct_fast_writes_layout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "patterns:" in out
     layout = layout_from_dict(json.loads(path.read_text()))
-    assert isinstance(layout, FastPolarCode)
-    assert layout.N == 1024 and layout.K == 896
+    assert layout == construct_fast_polar(1024, 896)
+    assert layout.bch_segments == {3, 5, 6, 9, 32}
 
 
 def test_construct_infeasible_exits_two(capsys):
@@ -161,3 +160,14 @@ def test_console_script_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "N=64 K=32" in result.stdout
+
+
+def test_stats_inconsistent_segments_exits_three(tmp_path, capsys):
+    path = tmp_path / "layout.json"
+    main(["construct", "--n", "64", "--k", "48", "--fast", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc["segments"][0] = "slow"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["stats", str(path)]) == 3
+    assert "segment tags" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fastpolar import construction
 from fastpolar.construction import (
     DEFAULT_DESIGN_SNR_DB,
     InfeasibleConstructionError,
@@ -13,7 +14,7 @@ from fastpolar.construction import (
     layout_to_dict,
     reliability_sequence,
 )
-from fastpolar.core import FastPolarCode, PatternTag, SegmentPattern
+from fastpolar.core import CodeSpec, PatternTag, SegmentPattern
 
 # Per-segment info counts for the reference layout (N=1024, K=896, GA at the
 # default design SNR). Frozen as a regression golden.
@@ -116,7 +117,8 @@ def test_classify_segment_rejects_bad_positions():
 def test_fast_construction_reference_layout():
     code = construct_fast_polar(1024, 896, "ga")
     assert [seg.k for seg in code.segments] == REFERENCE_KS
-    assert code.bch_segments == {
+    assert code.bch_segments == {3, 5, 6, 9, 32}
+    assert {t: code.segments[t].tag for t in code.bch_segments} == {
         3: PatternTag.BCH_T2,
         5: PatternTag.BCH_T1,
         6: PatternTag.BCH_T1,
@@ -135,7 +137,7 @@ def test_fast_construction_pull_case():
 def test_fast_construction_full_rate_needs_no_moves():
     code = construct_fast_polar(32, 32, "ga")
     assert [seg.k for seg in code.segments] == [16, 16]
-    assert code.spec.info_set == frozenset(range(32))
+    assert code.info_set == frozenset(range(32))
 
 
 def test_fast_construction_preserves_rate_and_patterns():
@@ -174,12 +176,64 @@ def test_layout_round_trip_fast():
     code = construct_fast_polar(64, 48, "ga")
     doc = layout_to_dict(code)
     rebuilt = layout_from_dict(doc)
-    assert isinstance(rebuilt, FastPolarCode)
+    assert doc["segments"] == [seg.tag.value for seg in code.segments]
+    assert rebuilt == code
     assert rebuilt.segments == code.segments
-    assert rebuilt.spec == code.spec
     assert rebuilt.bch_segments == code.bch_segments
 
 
 def test_layout_from_dict_rejects_missing_keys():
     with pytest.raises(ValueError):
         layout_from_dict({"N": 64, "K": 32})
+
+
+def test_layout_from_dict_rejects_bad_segment_tags():
+    doc = layout_to_dict(construct_fast_polar(64, 48, "ga"))
+    tags = doc["segments"]
+    assert layout_from_dict(doc) == construct_fast_polar(64, 48, "ga")
+    disagree = [PatternTag.REP.value if tag == PatternTag.RATE1.value else tag for tag in tags]
+    spare = ["rate0"] + tags
+    bch_moved = [PatternTag.BCH_T1.value] + tags[1:]
+    for bad in (disagree, tags[:-1], spare, bch_moved, ["slow"] * len(tags)):
+        with pytest.raises(ValueError):
+            layout_from_dict({**doc, "segments": bad})
+    # a slow segment listed as slow, and a non-canonical k=1 segment listed as rep
+    slow = {"N": 32, "K": 20, "info_set": list(range(12, 32)), "segments": ["slow", "rate1"]}
+    non_canonical = {"N": 32, "K": 17, "info_set": [14, *range(16, 32)], "segments": ["rep", "rate1"]}
+    for bad_doc in (slow, non_canonical):
+        with pytest.raises(ValueError):
+            layout_from_dict(bad_doc)
+        del bad_doc["segments"]
+        assert layout_from_dict(bad_doc).bch_segments == frozenset()
+
+
+def test_layout_to_dict_writes_tags_only_for_fast_layouts():
+    plain = construct_polar(32, 20, "ga")
+    assert "segments" not in layout_to_dict(plain)
+    mixed = CodeSpec(N=32, K=12, info_set=[*range(9, 16), *range(27, 32)], bch_segments={0})
+    assert mixed.segments[1].tag is PatternTag.SLOW
+    with pytest.raises(ValueError):
+        layout_to_dict(mixed)
+
+
+def _full_bisection(ln_y):
+    """The GA inverse as a fixed 200-step bisection, the reference for the early stop."""
+    ln_y = np.asarray(ln_y, dtype=float)
+    lo = np.full_like(ln_y, 1e-12)
+    hi = np.full_like(ln_y, 1e7)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = construction._ln_phi(mid) > ln_y
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_ga_bisection_stops_on_the_full_bisection_result(monkeypatch):
+    ln_y = np.concatenate([-np.logspace(-6, 6, 200), [0.0, np.nan]])
+    assert np.array_equal(construction._phi_inv_ln(ln_y), _full_bisection(ln_y), equal_nan=True)
+    cases = [(N, snr) for N in (64, 1024) for snr in (0.0, 2.0, 4.5, 8.0)]
+    early = {case: construction._ga_means(*case) for case in cases}
+    monkeypatch.setattr(construction, "_phi_inv_ln", _full_bisection)
+    for case in cases:
+        assert np.array_equal(early[case], construction._ga_means(*case))

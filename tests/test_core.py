@@ -3,7 +3,6 @@ import pytest
 
 from fastpolar.core import (
     CodeSpec,
-    FastPolarCode,
     PatternTag,
     QuantizedLLR,
     SegmentPattern,
@@ -97,42 +96,56 @@ def _fast_layout(ks):
     info = []
     for t, k in enumerate(ks):
         info.extend(range(t * 16 + 16 - k, t * 16 + 16))
-    segments = tuple(SegmentPattern.from_k(k) for k in ks)
-    bch = {t: seg.tag for t, seg in enumerate(segments)
-           if seg.tag in (PatternTag.BCH_T1, PatternTag.BCH_T2)}
-    spec = CodeSpec(N=16 * len(ks), K=sum(ks), info_set=frozenset(info))
-    return FastPolarCode(spec, segments, bch)
+    bch = {t for t, k in enumerate(ks) if k in (7, 11)}
+    return CodeSpec(N=16 * len(ks), K=sum(ks), info_set=frozenset(info), bch_segments=bch)
 
 
 def test_fast_polar_code_accepts_canonical_layout():
     code = _fast_layout([0, 7, 11, 16])
     assert code.N == 64
     assert code.K == 34
-    assert code.bch_segments == {1: PatternTag.BCH_T2, 2: PatternTag.BCH_T1}
+    assert code.bch_segments == {1, 2}
+    assert [seg.tag for seg in code.segments] == [
+        PatternTag.RATE0, PatternTag.BCH_T2, PatternTag.BCH_T1, PatternTag.RATE1]
 
 
 def test_fast_polar_code_rejects_slow_segments():
+    # a BCH segment needs 7 or 11 info bits
     spec = CodeSpec(N=32, K=9, info_set=frozenset(range(12, 16)) | frozenset(range(27, 32)))
-    segments = (SegmentPattern.from_k(4), SegmentPattern.from_k(5))
+    assert [seg.tag for seg in spec.segments] == [PatternTag.SLOW, PatternTag.SLOW]
+    for bch in ({0}, {1}):
+        with pytest.raises(ValueError):
+            CodeSpec(N=32, K=9, info_set=spec.info_set, bch_segments=bch)
     with pytest.raises(ValueError):
-        FastPolarCode(spec, segments, {})
+        CodeSpec(N=32, K=16, info_set=frozenset(range(16, 32)), bch_segments={1})
 
 
 def test_fast_polar_code_rejects_non_canonical_positions():
-    # k=1 info bit must sit at local index 15, not 14
-    spec = CodeSpec(N=32, K=17, info_set=frozenset({14}) | frozenset(range(16, 32)))
-    segments = (SegmentPattern.from_k(1), SegmentPattern.from_k(16))
+    # a k=7 BCH segment must hold local indices 9..15, not 8..14
+    info = frozenset(range(8, 15)) | frozenset(range(16, 32))
+    assert CodeSpec(N=32, K=23, info_set=info).segments[0].tag is PatternTag.SLOW
     with pytest.raises(ValueError):
-        FastPolarCode(spec, segments, {})
+        CodeSpec(N=32, K=23, info_set=info, bch_segments={0})
 
 
 def test_fast_polar_code_rejects_inconsistent_bch_map():
-    spec = CodeSpec(N=32, K=23, info_set=frozenset(range(9, 16)) | frozenset(range(16, 32)))
-    segments = (SegmentPattern.from_k(7), SegmentPattern.from_k(16))
+    info = frozenset(range(9, 16)) | frozenset(range(16, 32))
     with pytest.raises(ValueError):
-        FastPolarCode(spec, segments, {})
-    code = FastPolarCode(spec, segments, {0: PatternTag.BCH_T2})
-    assert code.bch_segments == {0: PatternTag.BCH_T2}
+        CodeSpec(N=32, K=23, info_set=info, bch_segments={2})
+    plain = CodeSpec(N=32, K=23, info_set=info)
+    assert plain.segments[0].tag is PatternTag.SLOW
+    code = CodeSpec(N=32, K=23, info_set=info, bch_segments=[0])
+    assert code.bch_segments == frozenset({0})
+    assert code.segments[0].tag is PatternTag.BCH_T2
+    assert code != plain
+
+
+def test_code_spec_is_hashable_and_pickles_fields_only():
+    code = _fast_layout([0, 7, 11, 16])
+    assert code == _fast_layout([0, 7, 11, 16])
+    assert hash(code) == hash(_fast_layout([0, 7, 11, 16]))
+    assert code.segments and code.frozen_mask.any()    # cached on the instance
+    assert set(code.__getstate__()) == {"N", "K", "info_set", "bch_segments"}
 
 
 def test_saturation_limits():

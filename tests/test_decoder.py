@@ -515,3 +515,20 @@ def test_fixed_point_decode_reaches_every_traced_call_site(monkeypatch):
     assert set(calls) == {"f_check", "g_bit", "saturate", "_decode_terminal", "polar_transform"}
     assert all(isinstance(args[0].tag, PatternTag) for args in calls["_decode_terminal"])
     assert len(calls["_decode_terminal"]) == decode_plan(code).stats.terminal_nodes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fast_sc_decode_rejects_non_finite_llrs(bad):
+    code = construct_fast_polar(64, 48, "ga")
+    frame = np.full(64, 5.0)
+    frame[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fast_sc_decode(code, frame)
+    batch = np.full((8, 64), 5.0)
+    batch[5, 40] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fast_sc_decode(code, batch)
+    # a +inf/-inf pair would otherwise meet in g as inf - inf
+    batch[5, 40], batch[5, 8] = np.inf, -np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fast_sc_decode(code, batch)

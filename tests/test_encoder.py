@@ -3,7 +3,7 @@ import pytest
 
 from fastpolar.bch import BchVariant, bch_encode
 from fastpolar.construction import construct_fast_polar, construct_polar
-from fastpolar.core import CodeSpec, FastPolarCode, PatternTag, SegmentPattern
+from fastpolar.core import CodeSpec
 from fastpolar.encoder import bch_message_positions, encode, polar_transform
 
 
@@ -93,18 +93,17 @@ def test_encode_fast_without_bch_matches_plain():
     assert not code.bch_segments
     rng = np.random.default_rng(8)
     info = rng.integers(0, 2, size=(20, 61), dtype=np.uint8)
-    assert np.array_equal(encode(code, info), encode(code.spec, info))
+    u = np.zeros((20, 64), dtype=np.uint8)
+    u[:, code.info_positions] = info
+    assert np.array_equal(encode(code, info), polar_transform(u))
 
 
 def _layout(ks):
     info = []
     for t, k in enumerate(ks):
         info.extend(range(t * 16 + 16 - k, t * 16 + 16))
-    segments = tuple(SegmentPattern.from_k(k) for k in ks)
-    bch = {t: seg.tag for t, seg in enumerate(segments)
-           if seg.tag in (PatternTag.BCH_T1, PatternTag.BCH_T2)}
-    spec = CodeSpec(N=16 * len(ks), K=sum(ks), info_set=frozenset(info))
-    return FastPolarCode(spec, segments, bch)
+    bch = {t for t, k in enumerate(ks) if k in (7, 11)}
+    return CodeSpec(N=16 * len(ks), K=sum(ks), info_set=frozenset(info), bch_segments=bch)
 
 
 def test_bch_message_positions():
