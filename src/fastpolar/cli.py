@@ -83,7 +83,7 @@ def _cmd_construct(args) -> int:
 
     print(f"N={args.n} K={args.k} method={args.method}")
     if args.fast:
-        histogram = Counter(seg.tag.value for seg in layout.segments)
+        histogram = Counter(tag.value for tag in layout.segments)
         pairs = " ".join(f"{tag}:{count}" for tag, count in sorted(histogram.items()))
         print(f"segments={layout.segment_count} patterns: {pairs}")
 

@@ -1,21 +1,19 @@
-"""Reliability orders (GA / PW), segment classification, and rate re-allocation."""
+"""Reliability orders (GA / PW), rate re-allocation, and layout documents."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .core import (
     BCH_TAGS,
-    FAST_SEGMENT_KS,
     FAST_TAG_BY_K,
     SEGMENT_SIZE,
     CodeSpec,
     PatternTag,
-    SegmentPattern,
     _is_power_of_two,
+    canonical_frozen_mask,
 )
 
 DEFAULT_DESIGN_SNR_DB = 4.5
@@ -114,7 +112,9 @@ def reliability_sequence(
 ) -> ReliabilityOrder:
     """Deterministic reliability permutation, least reliable first.
 
-    PW ignores design_snr_db. Reliability ties break toward the lower index.
+    GA's design_snr_db is Es/N0 per BPSK dimension: the channel's mean LLR,
+    the GA recursion's initial mean, is 4 * 10^(design_snr_db / 10). PW
+    ignores design_snr_db. Reliability ties break toward the lower index.
     """
     method = method.lower()
     scores = _reliability_scores(N, method, design_snr_db)
@@ -126,30 +126,16 @@ def reliability_sequence(
 def construct_polar(
     N: int, K: int, method: str = "ga", design_snr_db: float = DEFAULT_DESIGN_SNR_DB
 ) -> CodeSpec:
-    """Plain polar layout: freeze the N-K least reliable positions."""
+    """Plain polar layout: freeze the N-K least reliable positions.
+
+    design_snr_db is Es/N0 per BPSK dimension (GA initial mean
+    4 * 10^(design_snr_db / 10)), as in reliability_sequence.
+    """
     if not 0 <= K <= N:
         raise ValueError(f"K out of range: {K}")
     rel = reliability_sequence(N, method, design_snr_db)
     info = frozenset(int(i) for i in rel.order[N - K:])
     return CodeSpec(N=N, K=K, info_set=info)
-
-
-def classify_segment(frozen_positions: Iterable[int]) -> SegmentPattern:
-    """Classify a length-16 segment from its local frozen positions.
-
-    Fast tags require both the information count and the canonical positions
-    (frozen at the smallest local indices), except k in {7, 11} which map to
-    the BCH variants regardless of positions. Everything else is SLOW.
-    """
-    frozen = frozenset(frozen_positions)
-    if not all(0 <= p < SEGMENT_SIZE for p in frozen):
-        raise ValueError("frozen positions must be local indices in 0..15")
-    k = SEGMENT_SIZE - len(frozen)
-    if k in (7, 11):
-        return SegmentPattern.from_k(k)
-    if k in FAST_SEGMENT_KS and frozen == frozenset(range(SEGMENT_SIZE - k)):
-        return SegmentPattern.from_k(k)
-    return SegmentPattern(PatternTag.SLOW, k)
 
 
 def _reallocate(N: int, K: int, scores: np.ndarray):
@@ -174,7 +160,7 @@ def _reallocate(N: int, K: int, scores: np.ndarray):
     moves: list[tuple[str, int, int]] = []
     for t in range(n_seg):
         seg = slice(SEGMENT_SIZE * t, SEGMENT_SIZE * (t + 1))
-        while int(info[seg].sum()) not in FAST_SEGMENT_KS:
+        while int(info[seg].sum()) not in FAST_TAG_BY_K:
             later = np.flatnonzero(~info & active)
             later = later[later >= SEGMENT_SIZE * (t + 1)]
             if len(later):
@@ -222,12 +208,9 @@ def construct_fast_polar(
     method = method.lower()
     scores = _reliability_scores(N, method, design_snr_db)
     _, counts, _ = _reallocate(N, K, scores)
-    info: set[int] = set()
-    for t, k in enumerate(counts):
-        base = SEGMENT_SIZE * t
-        info.update(range(base + SEGMENT_SIZE - k, base + SEGMENT_SIZE))
-    bch = {t for t, k in enumerate(counts) if FAST_TAG_BY_K.get(k) in BCH_TAGS}
-    return CodeSpec(N=N, K=K, info_set=frozenset(info), bch_segments=bch)
+    frozen = np.concatenate([canonical_frozen_mask(k) for k in counts])
+    bch = {t for t, k in enumerate(counts) if FAST_TAG_BY_K[k] in BCH_TAGS}
+    return CodeSpec(N=N, K=K, info_set=np.flatnonzero(~frozen).tolist(), bch_segments=bch)
 
 
 def layout_to_dict(
@@ -246,9 +229,8 @@ def layout_to_dict(
         "design_snr_db": design_snr_db,
         "info_set": sorted(int(i) for i in layout.info_set),
     }
-    tags = [seg.tag for seg in layout.segments]
-    if tags and PatternTag.SLOW not in tags:
-        doc["segments"] = [tag.value for tag in tags]
+    if layout.segments and PatternTag.SLOW not in layout.segments:
+        doc["segments"] = [tag.value for tag in layout.segments]
     elif layout.bch_segments:
         raise ValueError("only a layout whose every segment is fast can list BCH segments")
     return doc
@@ -257,6 +239,8 @@ def layout_to_dict(
 def layout_from_dict(doc: dict) -> CodeSpec:
     """Rebuild a layout from its JSON description. Segment tags, when given,
     must name each segment's fast pattern; their BCH tags mark the BCH segments."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a layout document is an object, got {type(doc).__name__}")
     try:
         tags = doc.get("segments")
         bch = {t for t, name in enumerate(tags or ()) if PatternTag(name) in BCH_TAGS}
@@ -264,7 +248,9 @@ def layout_from_dict(doc: dict) -> CodeSpec:
                           info_set=frozenset(int(i) for i in doc["info_set"]), bch_segments=bch)
     except KeyError as exc:
         raise ValueError(f"layout document missing key: {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"layout document has a field of the wrong type: {exc}") from exc
     if tags is not None and (PatternTag.SLOW.value in tags
-                             or list(tags) != [seg.tag.value for seg in layout.segments]):
+                             or list(tags) != [tag.value for tag in layout.segments]):
         raise ValueError("segment tags do not name the fast pattern of every segment")
     return layout

@@ -64,30 +64,8 @@ FAST_TAG_BY_K = {
     7: PatternTag.BCH_T2,
     11: PatternTag.BCH_T1,
 }
-K_BY_FAST_TAG = {tag: k for k, tag in FAST_TAG_BY_K.items()}
-FAST_SEGMENT_KS = frozenset(FAST_TAG_BY_K)
 
 BCH_TAGS = frozenset({PatternTag.BCH_T1, PatternTag.BCH_T2})
-
-
-@dataclass(frozen=True)
-class SegmentPattern:
-    """Classification of one length-16 segment: a pattern tag plus its info count."""
-
-    tag: PatternTag
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.k <= SEGMENT_SIZE:
-            raise ValueError(f"segment info count out of range: {self.k}")
-        if self.tag is not PatternTag.SLOW and K_BY_FAST_TAG[self.tag] != self.k:
-            raise ValueError(f"tag {self.tag.value} requires k={K_BY_FAST_TAG[self.tag]}, got {self.k}")
-
-    @classmethod
-    def from_k(cls, k: int) -> "SegmentPattern":
-        """Pattern for a canonical segment with k information bits (SLOW if unsupported)."""
-        tag = FAST_TAG_BY_K.get(k, PatternTag.SLOW)
-        return cls(tag, k)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -123,7 +101,7 @@ class CodeSpec:
             raise ValueError("info_set contains out-of-range indices")
         if not self.bch_segments <= frozenset(range(self.segment_count)):
             raise ValueError("bch_segments contains out-of-range segment indices")
-        if any(self.segments[t].tag is PatternTag.SLOW for t in self.bch_segments):
+        if any(self.segments[t] is PatternTag.SLOW for t in self.bch_segments):
             raise ValueError("a BCH segment needs 7 or 11 info bits at canonical positions")
 
     @property
@@ -155,18 +133,19 @@ class CodeSpec:
         return self.N // SEGMENT_SIZE
 
     @cached_property
-    def segments(self) -> tuple[SegmentPattern, ...]:
-        """Each segment's pattern: the fast tag of its info count where its
-        positions are canonical and it is a BCH segment exactly when that tag
-        is a BCH tag; SLOW otherwise."""
+    def segments(self) -> tuple[PatternTag, ...]:
+        """Each segment's pattern, the one segment classifier: the fast tag of
+        its info count where its positions are canonical and it is a BCH
+        segment exactly when that tag is a BCH tag; SLOW otherwise."""
         blocks = self.frozen_mask[:SEGMENT_SIZE * self.segment_count].reshape(-1, SEGMENT_SIZE)
-        patterns = []
+        tags = []
         for t, local in enumerate(blocks):
             k = SEGMENT_SIZE - int(local.sum())
+            tag = FAST_TAG_BY_K.get(k, PatternTag.SLOW)
             fast = np.array_equal(local, canonical_frozen_mask(k)) and \
-                (FAST_TAG_BY_K.get(k) in BCH_TAGS) == (t in self.bch_segments)
-            patterns.append(SegmentPattern.from_k(k) if fast else SegmentPattern(PatternTag.SLOW, k))
-        return tuple(patterns)
+                (tag in BCH_TAGS) == (t in self.bch_segments)
+            tags.append(tag if fast else PatternTag.SLOW)
+        return tuple(tags)
 
     def __getstate__(self) -> dict:
         """Pickle the fields only; what is cached on the layout is rebuilt on use."""
@@ -237,17 +216,6 @@ def llr_sum(alpha: np.ndarray, axis: int = -1) -> np.ndarray:
     if np.issubdtype(alpha.dtype, np.integer):
         return alpha.sum(axis=axis, dtype=np.int64)
     return alpha.sum(axis=axis)
-
-
-def saturating_add(a: QuantizedLLR, b: QuantizedLLR) -> QuantizedLLR:
-    """Add two quantized LLRs of equal width, clamping into the symmetric range."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    total = np.add(a.value, b.value, dtype=np.int64)
-    clamped = saturate(total, a.width)
-    if np.asarray(clamped).ndim == 0:
-        return QuantizedLLR(int(clamped), a.width)
-    return QuantizedLLR(clamped, a.width)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .core import (
     SEGMENT_SIZE,
     CodeSpec,
     PatternTag,
-    QuantizedLLR,
     TraversalStats,
     frozen_prefix,
     hard_decision,
@@ -239,7 +238,7 @@ def _match_span(frozen_before, start, size, limits, bch_segments):
 def build_tree(code: CodeSpec, limits: PatternLimits | None = None) -> TreeNode:
     """Prune the SC tree for a layout: stop at every matched pattern node."""
     limits = limits if limits is not None else DEFAULT_LIMITS
-    bch = {t: code.segments[t].tag for t in code.bch_segments}
+    bch = {t: code.segments[t] for t in code.bch_segments}
     frozen_before = [0, *np.cumsum(code.frozen_mask).tolist()]
 
     def rec(start: int, size: int) -> TreeNode:
@@ -376,16 +375,13 @@ def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
                    limits: PatternLimits | None = None) -> DecodeResult:
     """Fast SC decode of channel LLRs (..., N), float or width-bit fixed point.
 
-    alpha may also be a QuantizedLLR carrying the width. Integer inputs are
-    clamped into the width's range on entry and carried as int8. Float LLRs
-    must be finite: a NaN or +-inf anywhere in alpha raises ValueError.
+    A fixed-point width is given only as width. Integer inputs are clamped
+    into the width's range on entry and carried as int8. Float LLRs must be
+    finite: a NaN or +-inf anywhere in alpha raises ValueError.
     """
-    if isinstance(alpha, QuantizedLLR):
-        width = width if width is not None else alpha.width
-        alpha = alpha.value
     alpha = np.asarray(alpha)
-    if alpha.shape[-1] != code.N:
-        raise ValueError(f"expected {code.N} LLRs, got {alpha.shape[-1]}")
+    if alpha.shape[-1:] != (code.N,):
+        raise ValueError(f"expected LLRs of shape (..., {code.N}), got shape {alpha.shape}")
     if width is not None:
         if not np.issubdtype(alpha.dtype, np.integer):
             raise ValueError("fixed-point decoding requires integer LLRs")

@@ -71,7 +71,7 @@ def encode(code: CodeSpec, info: np.ndarray) -> np.ndarray:
     u = np.concatenate([info, zero], axis=-1).take(source, axis=-1)  # 7x faster than scattering
     for t in code.bch_segments:
         block = u[..., SEGMENT_SIZE * t:SEGMENT_SIZE * (t + 1)]
-        variant = VARIANT_BY_TAG[code.segments[t].tag]
+        variant = VARIANT_BY_TAG[code.segments[t]]
         message = block[..., bch_message_positions(variant)]
         block[...] = polar_transform(bch_encode(message, variant))
     return polar_transform(u)

@@ -171,3 +171,13 @@ def test_stats_inconsistent_segments_exits_three(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stats", str(path)]) == 3
     assert "segment tags" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"N": 32, "K": 32, "info_set": 5},
+                                 {"N": 32, "K": 0, "info_set": [], "segments": 5},
+                                 [32, 32, []]])
+def test_stats_wrongly_typed_field_exits_three(tmp_path, capsys, doc):
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(doc))
+    assert main(["stats", str(path)]) == 3
+    assert "cannot load layout" in capsys.readouterr().err

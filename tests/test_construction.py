@@ -7,20 +7,30 @@ from fastpolar.construction import (
     InfeasibleConstructionError,
     ReliabilityOrder,
     _pw_weights,
-    classify_segment,
     construct_fast_polar,
     construct_polar,
     layout_from_dict,
     layout_to_dict,
     reliability_sequence,
 )
-from fastpolar.core import CodeSpec, PatternTag, SegmentPattern
+from fastpolar.core import FAST_TAG_BY_K, CodeSpec, PatternTag, canonical_frozen_mask
 
 # Per-segment info counts for the reference layout (N=1024, K=896, GA at the
 # default design SNR). Frozen as a regression golden.
 REFERENCE_KS = [0, 1, 1, 7, 3, 11, 11, 15, 3, 11, 14, 16, 15, 16, 16, 16,
                 3, 15, 15, 16, 15, 16, 16, 16, 15, 16, 16, 16, 16, 16, 16, 16,
                 7, 15, 15, 16] + [16] * 28
+
+
+def _segment_ks(code):
+    """Per-segment info counts, read from the frozen mask."""
+    return (16 - code.frozen_mask.reshape(-1, 16).sum(axis=1)).tolist()
+
+
+def _segment(frozen, bch=False):
+    """A one-segment layout with the given local frozen positions."""
+    info = frozenset(range(16)) - frozenset(frozen)
+    return CodeSpec(N=16, K=len(info), info_set=info, bch_segments={0} if bch else ())
 
 
 def test_default_design_snr():
@@ -75,26 +85,29 @@ def test_construct_polar_takes_most_reliable_positions():
 
 
 def test_classify_segment_canonical_fast_sets():
-    for k, tag in ((0, PatternTag.RATE0), (1, PatternTag.REP), (2, PatternTag.REP2),
-                   (3, PatternTag.PCR), (13, PatternTag.RPC), (14, PatternTag.SPC2),
-                   (15, PatternTag.SPC), (16, PatternTag.RATE1)):
-        pattern = classify_segment(range(16 - k))
-        assert pattern.tag is tag
-        assert pattern.k == k
+    # one segment per fast count, at canonical positions, in one layout
+    ks = sorted(FAST_TAG_BY_K) + [16] * 6
+    info = [16 * t + i for t, k in enumerate(ks) for i in range(16 - k, 16)]
+    bch = {t for t, k in enumerate(ks) if k in (7, 11)}
+    code = CodeSpec(N=256, K=len(info), info_set=info, bch_segments=bch)
+    assert code.segments == tuple(FAST_TAG_BY_K[k] for k in ks)
+    assert _segment_ks(code) == ks
 
 
-def test_classify_segment_bch_ignores_positions():
-    # 7 or 11 information bits always map to a BCH pattern
-    assert classify_segment({0, 1, 2, 3, 4, 10, 12, 13, 15}).tag is PatternTag.BCH_T2
-    assert classify_segment({1, 3, 5, 7, 9}).tag is PatternTag.BCH_T1
-    assert classify_segment(range(9)).tag is PatternTag.BCH_T2
-    assert classify_segment(range(5)).tag is PatternTag.BCH_T1
+def test_classify_segment_bch_needs_canonical_positions():
+    # 7 or 11 information bits are BCH only at canonical positions
+    for frozen in ({0, 1, 2, 3, 4, 10, 12, 13, 15}, {1, 3, 5, 7, 9}):
+        assert _segment(frozen).segments == (PatternTag.SLOW,)
+        with pytest.raises(ValueError):
+            _segment(frozen, bch=True)
+    assert _segment(range(9), bch=True).segments == (PatternTag.BCH_T2,)
+    assert _segment(range(5), bch=True).segments == (PatternTag.BCH_T1,)
 
 
 def test_classify_segment_non_canonical_falls_to_slow():
     # one info bit at local index 0 cannot decode as REP
-    assert classify_segment(set(range(16)) - {0}).tag is PatternTag.SLOW
-    assert classify_segment(range(4)).tag is PatternTag.SLOW
+    assert _segment(set(range(16)) - {0}).segments == (PatternTag.SLOW,)
+    assert _segment(range(4)).segments == (PatternTag.SLOW,)
 
 
 def test_classify_segment_total_over_random_sets():
@@ -102,23 +115,22 @@ def test_classify_segment_total_over_random_sets():
     for _ in range(300):
         size = int(rng.integers(0, 17))
         frozen = rng.choice(16, size=size, replace=False)
-        pattern = classify_segment(frozen)
-        assert isinstance(pattern, SegmentPattern)
-        assert pattern.k == 16 - size
-
-
-def test_classify_segment_rejects_bad_positions():
-    with pytest.raises(ValueError):
-        classify_segment({16})
-    with pytest.raises(ValueError):
-        classify_segment({-1})
+        k = 16 - size
+        canonical = set(frozen.tolist()) == set(range(size))
+        expected = FAST_TAG_BY_K.get(k, PatternTag.SLOW) if canonical else PatternTag.SLOW
+        if expected in (PatternTag.BCH_T1, PatternTag.BCH_T2):
+            assert _segment(frozen, bch=True).segments == (expected,)
+            expected = PatternTag.SLOW
+        assert _segment(frozen).segments == (expected,)
 
 
 def test_fast_construction_reference_layout():
     code = construct_fast_polar(1024, 896, "ga")
-    assert [seg.k for seg in code.segments] == REFERENCE_KS
+    assert _segment_ks(code) == REFERENCE_KS
+    canonical = np.concatenate([canonical_frozen_mask(k) for k in REFERENCE_KS])
+    assert np.array_equal(code.frozen_mask, canonical)
     assert code.bch_segments == {3, 5, 6, 9, 32}
-    assert {t: code.segments[t].tag for t in code.bch_segments} == {
+    assert {t: code.segments[t] for t in code.bch_segments} == {
         3: PatternTag.BCH_T2,
         5: PatternTag.BCH_T1,
         6: PatternTag.BCH_T1,
@@ -130,13 +142,13 @@ def test_fast_construction_reference_layout():
 def test_fast_construction_pull_case():
     # the later segment must receive bits from the earlier one
     code = construct_fast_polar(32, 28, "pw")
-    assert [seg.k for seg in code.segments] == [13, 15]
-    assert [seg.tag for seg in code.segments] == [PatternTag.RPC, PatternTag.SPC]
+    assert _segment_ks(code) == [13, 15]
+    assert code.segments == (PatternTag.RPC, PatternTag.SPC)
 
 
 def test_fast_construction_full_rate_needs_no_moves():
     code = construct_fast_polar(32, 32, "ga")
-    assert [seg.k for seg in code.segments] == [16, 16]
+    assert _segment_ks(code) == [16, 16]
     assert code.info_set == frozenset(range(32))
 
 
@@ -149,8 +161,8 @@ def test_fast_construction_preserves_rate_and_patterns():
                 code = construct_fast_polar(N, K, "ga")
             except InfeasibleConstructionError:
                 continue
-            assert sum(seg.k for seg in code.segments) == K
-            assert all(seg.tag is not PatternTag.SLOW for seg in code.segments)
+            assert sum(_segment_ks(code)) == K
+            assert PatternTag.SLOW not in code.segments
 
 
 def test_fast_construction_infeasible_names_segment():
@@ -176,7 +188,7 @@ def test_layout_round_trip_fast():
     code = construct_fast_polar(64, 48, "ga")
     doc = layout_to_dict(code)
     rebuilt = layout_from_dict(doc)
-    assert doc["segments"] == [seg.tag.value for seg in code.segments]
+    assert doc["segments"] == [tag.value for tag in code.segments]
     assert rebuilt == code
     assert rebuilt.segments == code.segments
     assert rebuilt.bch_segments == code.bch_segments
@@ -185,6 +197,18 @@ def test_layout_round_trip_fast():
 def test_layout_from_dict_rejects_missing_keys():
     with pytest.raises(ValueError):
         layout_from_dict({"N": 64, "K": 32})
+
+
+def test_layout_from_dict_rejects_fields_of_the_wrong_type():
+    for doc in ({"N": 32, "K": 32, "info_set": 5},
+                {"N": 32, "K": 0, "info_set": [], "segments": 5},
+                {"N": None, "K": 0, "info_set": []},
+                {"N": 32, "K": 1, "info_set": [[1]]}):
+        with pytest.raises(ValueError, match="wrong type"):
+            layout_from_dict(doc)
+    for doc in ([32, 32, []], 5, None):
+        with pytest.raises(ValueError, match="is an object"):
+            layout_from_dict(doc)
 
 
 def test_layout_from_dict_rejects_bad_segment_tags():
@@ -211,7 +235,7 @@ def test_layout_to_dict_writes_tags_only_for_fast_layouts():
     plain = construct_polar(32, 20, "ga")
     assert "segments" not in layout_to_dict(plain)
     mixed = CodeSpec(N=32, K=12, info_set=[*range(9, 16), *range(27, 32)], bch_segments={0})
-    assert mixed.segments[1].tag is PatternTag.SLOW
+    assert mixed.segments[1] is PatternTag.SLOW
     with pytest.raises(ValueError):
         layout_to_dict(mixed)
 

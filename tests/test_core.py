@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from fastpolar.core import (
+    FAST_TAG_BY_K,
     CodeSpec,
     PatternTag,
     QuantizedLLR,
-    SegmentPattern,
     TraversalStats,
     canonical_frozen_mask,
     hard_decision,
     saturate,
-    saturating_add,
     saturation_limit,
 )
+
+
+def _canonical_segment(k, bch=False):
+    """A one-segment layout holding k info bits at canonical positions."""
+    return CodeSpec(N=16, K=k, info_set=range(16 - k, 16), bch_segments={0} if bch else ())
 
 
 def test_pattern_from_k_covers_fast_counts():
@@ -28,22 +32,28 @@ def test_pattern_from_k_covers_fast_counts():
         15: PatternTag.SPC,
         16: PatternTag.RATE1,
     }
+    assert FAST_TAG_BY_K == expected
     for k, tag in expected.items():
-        pattern = SegmentPattern.from_k(k)
-        assert pattern.tag is tag
-        assert pattern.k == k
+        bch = tag in (PatternTag.BCH_T1, PatternTag.BCH_T2)
+        assert _canonical_segment(k, bch).segments == (tag,)
 
 
 def test_pattern_from_k_falls_back_to_slow():
     for k in (4, 5, 6, 8, 9, 10, 12):
-        assert SegmentPattern.from_k(k).tag is PatternTag.SLOW
+        assert _canonical_segment(k).segments == (PatternTag.SLOW,)
+    # a canonical 7 or 11 is BCH only in a BCH segment
+    assert _canonical_segment(7).segments == (PatternTag.SLOW,)
+    assert _canonical_segment(11).segments == (PatternTag.SLOW,)
 
 
 def test_pattern_rejects_mismatched_k():
-    with pytest.raises(ValueError):
-        SegmentPattern(PatternTag.SPC, 14)
-    with pytest.raises(ValueError):
-        SegmentPattern(PatternTag.SLOW, 17)
+    # only the two BCH counts can mark a canonical segment as BCH
+    for k in range(17):
+        if k in (7, 11):
+            assert _canonical_segment(k, bch=True).segments[0] is FAST_TAG_BY_K[k]
+        else:
+            with pytest.raises(ValueError):
+                _canonical_segment(k, bch=True)
 
 
 def test_code_spec_basic_properties():
@@ -105,14 +115,14 @@ def test_fast_polar_code_accepts_canonical_layout():
     assert code.N == 64
     assert code.K == 34
     assert code.bch_segments == {1, 2}
-    assert [seg.tag for seg in code.segments] == [
-        PatternTag.RATE0, PatternTag.BCH_T2, PatternTag.BCH_T1, PatternTag.RATE1]
+    assert code.segments == (
+        PatternTag.RATE0, PatternTag.BCH_T2, PatternTag.BCH_T1, PatternTag.RATE1)
 
 
 def test_fast_polar_code_rejects_slow_segments():
     # a BCH segment needs 7 or 11 info bits
     spec = CodeSpec(N=32, K=9, info_set=frozenset(range(12, 16)) | frozenset(range(27, 32)))
-    assert [seg.tag for seg in spec.segments] == [PatternTag.SLOW, PatternTag.SLOW]
+    assert spec.segments == (PatternTag.SLOW, PatternTag.SLOW)
     for bch in ({0}, {1}):
         with pytest.raises(ValueError):
             CodeSpec(N=32, K=9, info_set=spec.info_set, bch_segments=bch)
@@ -123,7 +133,7 @@ def test_fast_polar_code_rejects_slow_segments():
 def test_fast_polar_code_rejects_non_canonical_positions():
     # a k=7 BCH segment must hold local indices 9..15, not 8..14
     info = frozenset(range(8, 15)) | frozenset(range(16, 32))
-    assert CodeSpec(N=32, K=23, info_set=info).segments[0].tag is PatternTag.SLOW
+    assert CodeSpec(N=32, K=23, info_set=info).segments[0] is PatternTag.SLOW
     with pytest.raises(ValueError):
         CodeSpec(N=32, K=23, info_set=info, bch_segments={0})
 
@@ -133,10 +143,10 @@ def test_fast_polar_code_rejects_inconsistent_bch_map():
     with pytest.raises(ValueError):
         CodeSpec(N=32, K=23, info_set=info, bch_segments={2})
     plain = CodeSpec(N=32, K=23, info_set=info)
-    assert plain.segments[0].tag is PatternTag.SLOW
+    assert plain.segments[0] is PatternTag.SLOW
     code = CodeSpec(N=32, K=23, info_set=info, bch_segments=[0])
     assert code.bch_segments == frozenset({0})
-    assert code.segments[0].tag is PatternTag.BCH_T2
+    assert code.segments[0] is PatternTag.BCH_T2
     assert code != plain
 
 
@@ -182,22 +192,6 @@ def test_hard_decision_sign_convention():
     out = hard_decision(np.array([1.0, -1.0, 0.0, -0.0]))
     assert out.dtype == np.uint8
     assert list(out) == [0, 1, 0, 0]
-
-
-def test_saturating_add_clamps_and_checks_width():
-    assert saturating_add(QuantizedLLR(14, 5), QuantizedLLR(14, 5)).value == 15
-    assert saturating_add(QuantizedLLR(-14, 5), QuantizedLLR(-14, 5)).value == -15
-    assert saturating_add(QuantizedLLR(3, 5), QuantizedLLR(-9, 5)).value == -6
-    with pytest.raises(ValueError):
-        saturating_add(QuantizedLLR(1, 4), QuantizedLLR(1, 5))
-
-
-def test_saturating_add_arrays():
-    a = QuantizedLLR(np.array([7, -7, 2]), 4)
-    b = QuantizedLLR(np.array([7, -7, -3]), 4)
-    out = saturating_add(a, b)
-    assert list(out.value) == [7, -7, -1]
-    assert out.width == 4
 
 
 def test_traversal_stats_consistency():

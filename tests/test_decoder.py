@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fastpolar.decoder as decoder
-from fastpolar.construction import classify_segment, construct_fast_polar, construct_polar
+from fastpolar.construction import construct_fast_polar, construct_polar
 from fastpolar.core import (
     NODE_SHAPES,
     SEGMENT_SIZE,
@@ -288,8 +288,8 @@ def _check_terminal_shapes(node, mask):
 
 def test_table_rows_classify_as_their_tag():
     for tag in NODE_SHAPES:
-        mask = node_frozen_mask(tag, SEGMENT_SIZE)
-        assert classify_segment(np.flatnonzero(mask)).tag is tag
+        info = np.flatnonzero(~node_frozen_mask(tag, SEGMENT_SIZE)).tolist()
+        assert CodeSpec(N=SEGMENT_SIZE, K=len(info), info_set=info).segments == (tag,)
 
 
 def test_pattern_limits_allows():
@@ -351,12 +351,42 @@ def test_fast_decode_noiseless_round_trip():
         assert np.array_equal(result.codeword_estimate, encode(code, info))
 
 
-def test_fast_decode_accepts_quantized_llr_container():
+def test_fast_decode_rejects_quantized_llr_container():
+    # a width is passed only as width=; the container's values decode with it
     code = construct_fast_polar(32, 28, "pw")
     info = np.ones(28, dtype=np.uint8)
-    llr = (1 - 2 * encode(code, info).astype(np.int64)) * 7
-    result = fast_sc_decode(code, QuantizedLLR(llr, 5))
-    assert np.array_equal(result.info_bits, info)
+    q = QuantizedLLR((1 - 2 * encode(code, info).astype(np.int64)) * 7, 5)
+    for width in (None, 5):
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 32\)"):
+            fast_sc_decode(code, q, width=width)
+    assert np.array_equal(fast_sc_decode(code, q.value, width=5).info_bits, info)
+
+
+def test_fast_decode_rejects_input_without_a_frame_axis():
+    code = construct_fast_polar(32, 28, "pw")
+    for alpha, width in ((np.float64(1.0), None), (1.0, None), (np.int64(3), 5)):
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 32\)"):
+            fast_sc_decode(code, alpha, width=width)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 32\)"):
+        fast_sc_decode(code, np.zeros((32, 2)))
+
+
+def test_out_of_range_integer_llrs_are_clamped_on_entry():
+    code = construct_fast_polar(1024, 896, "ga")
+    rng = np.random.default_rng(89)
+    info = rng.integers(0, 2, size=(8, code.K), dtype=np.uint8)
+    x = encode(code, info).astype(np.int64)
+    wide = ((1 - 2 * x) * 4 + rng.integers(-6, 7, size=x.shape)) * 100
+    unsigned = rng.integers(0, 256, size=x.shape).astype(np.uint8)
+    for alpha in (wide, unsigned):
+        clipped = np.clip(alpha.astype(np.int64), -15, 15)
+        assert not np.array_equal(clipped, alpha)
+        expected = fast_sc_decode(code, clipped, width=5)
+        batched = fast_sc_decode(code, alpha, width=5)
+        assert np.array_equal(batched.info_bits, expected.info_bits)
+        assert np.array_equal(batched.codeword_estimate, expected.codeword_estimate)
+        for frame, want in zip(alpha, expected.codeword_estimate):
+            assert np.array_equal(fast_sc_decode(code, frame, width=5).codeword_estimate, want)
 
 
 def test_codeword_estimate_matches_info_bits():

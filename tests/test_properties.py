@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastpolar.construction import layout_from_dict, layout_to_dict
-from fastpolar.core import FAST_SEGMENT_KS, SEGMENT_SIZE, CodeSpec, PatternTag, saturation_limit
+from fastpolar.core import FAST_TAG_BY_K, SEGMENT_SIZE, CodeSpec, PatternTag, saturation_limit
 from fastpolar.decoder import fast_sc_decode
 from fastpolar.encoder import encode
 
-PLAIN_FAST_KS = sorted(FAST_SEGMENT_KS - {7, 11})
+PLAIN_FAST_KS = sorted(FAST_TAG_BY_K.keys() - {7, 11})
 FEW = settings(max_examples=40, deadline=None, database=None)
 
 
@@ -51,7 +51,7 @@ def test_noiseless_round_trip(code, seed, width):
 @given(code=st.one_of(layouts(kinds=("bch", "fast")), layouts()))
 def test_layout_survives_dict_and_pickle(code):
     assert pickle.loads(pickle.dumps(code)) == code
-    if code.bch_segments and any(seg.tag is PatternTag.SLOW for seg in code.segments):
+    if code.bch_segments and PatternTag.SLOW in code.segments:
         with pytest.raises(ValueError):
             layout_to_dict(code)
         return
