@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PatternTag, hard_decision, llr_sum, saturate
+from .core import PatternTag, hard_decision, llr_sum, saturate, wagner
 
 # GF(2^4) generated by the primitive polynomial x^4 + x + 1.
 _PRIMITIVE_POLY = 0b10011
@@ -79,40 +79,32 @@ def _systematic_codeword(message: np.ndarray, g: np.ndarray) -> np.ndarray:
     return c
 
 
-_GEN_CACHE: dict = {}
-
-
-def _generator_matrix(variant: BchVariant, repeated_position: int) -> np.ndarray:
+def _generator_matrix(variant: BchVariant) -> np.ndarray:
     """k x 16 systematic generator including the extension column."""
-    key = (variant, repeated_position)
-    if key not in _GEN_CACHE:
-        rows = []
-        for j in range(variant.k):
-            msg = np.zeros(variant.k, dtype=np.uint8)
-            msg[j] = 1
-            c15 = _systematic_codeword(msg, variant.generator)
-            ext = c15[repeated_position] if variant is BchVariant.T1 else c15.sum() % 2
-            rows.append(np.concatenate([c15, [ext]]))
-        _GEN_CACHE[key] = np.array(rows, dtype=np.uint8)
-    return _GEN_CACHE[key]
+    rows = []
+    for j in range(variant.k):
+        msg = np.zeros(variant.k, dtype=np.uint8)
+        msg[j] = 1
+        c15 = _systematic_codeword(msg, variant.generator)
+        ext = c15[T1_REPEATED_POSITION] if variant is BchVariant.T1 else c15.sum() % 2
+        rows.append(np.concatenate([c15, [ext]]))
+    return np.array(rows, dtype=np.uint8)
 
 
-def bch_encode(
-    message: np.ndarray,
-    variant: BchVariant,
-    repeated_position: int = T1_REPEATED_POSITION,
-) -> np.ndarray:
+_GENERATOR_MATRICES = {variant: _generator_matrix(variant) for variant in BchVariant}
+
+
+def bch_encode(message: np.ndarray, variant: BchVariant) -> np.ndarray:
     """Encode message bits (..., k) into extended 16-bit codewords.
 
     T2 appends the overall parity of the 15 code bits; T1 duplicates the code
-    bit at repeated_position into position 15.
+    bit at T1_REPEATED_POSITION (14) into position 15.
     """
     message = np.asarray(message, dtype=np.uint8)
     if message.shape[-1] != variant.k:
         raise ValueError(f"{variant.value} message length must be {variant.k}, "
                          f"got {message.shape[-1]}")
-    gen = _generator_matrix(variant, repeated_position)
-    return (message @ gen) % 2
+    return (message @ _GENERATOR_MATRICES[variant]) % 2
 
 
 # Syndrome powers alpha^(i*j) for syndrome index i = 1..4 and position j = 0..14.
@@ -173,40 +165,31 @@ def bch_decode_hard(word: np.ndarray, variant: BchVariant):
     return out, ok
 
 
-def bch_node_decode(
-    alpha: np.ndarray,
-    variant: BchVariant,
-    width: int | None = None,
-    repeated_position: int = T1_REPEATED_POSITION,
-) -> np.ndarray:
+def bch_node_decode(alpha: np.ndarray, variant: BchVariant,
+                    width: int | None = None) -> np.ndarray:
     """Decode 16 node LLRs (..., 16) into a 16-bit word, always returning bits.
 
-    T2: hard-decide all 16 values; when the overall parity fails, flip the
-    minimum-magnitude position; Berlekamp-Massey-decode the first 15 bits and
-    re-extend. T1: fold the repeated position's two LLRs into one, decode the
-    15 resulting hard bits, re-duplicate. On decoding failure the hard word
-    (corrected only by the parity or repetition step) is returned.
+    T2: the Wagner decision on all 16 values (flip the minimum-magnitude
+    position when the overall parity fails), then Berlekamp-Massey-decode the
+    first 15 bits and re-extend. T1: fold position 14's two LLRs into one,
+    decode the 15 resulting hard bits, re-duplicate. On decoding failure the
+    hard word (corrected only by the parity or repetition step) is returned.
     """
     alpha = np.asarray(alpha)
     if alpha.shape[-1] != 16:
         raise ValueError(f"expected 16 LLRs, got {alpha.shape[-1]}")
     if variant is BchVariant.T2:
-        bits = hard_decision(alpha)
-        parity = bits.sum(axis=-1) % 2
-        weakest = np.argmin(np.abs(alpha), axis=-1)
-        flip = np.zeros_like(bits)
-        np.put_along_axis(flip, weakest[..., None], parity[..., None].astype(np.uint8), -1)
-        bits = bits ^ flip
+        bits = wagner(alpha)
         corrected, ok = bch_decode_hard(bits[..., :15], variant)
         ext = corrected.sum(axis=-1) % 2
         candidate = np.concatenate([corrected, ext[..., None].astype(np.uint8)], axis=-1)
         return np.where(np.asarray(ok)[..., None], candidate, bits)
-    folded = llr_sum(alpha[..., [repeated_position, 15]])
+    folded = llr_sum(alpha[..., [T1_REPEATED_POSITION, 15]])
     if width is not None:
         folded = saturate(folded, width)
     llr15 = np.array(alpha[..., :15])
-    llr15[..., repeated_position] = folded
+    llr15[..., T1_REPEATED_POSITION] = folded
     bits15 = hard_decision(llr15)
     corrected, ok = bch_decode_hard(bits15, variant)
     out15 = np.where(np.asarray(ok)[..., None], corrected, bits15)
-    return np.concatenate([out15, out15[..., repeated_position:repeated_position + 1]], axis=-1)
+    return np.concatenate([out15, out15[..., T1_REPEATED_POSITION, None]], axis=-1)

@@ -244,8 +244,10 @@ def layout_from_dict(doc: dict) -> CodeSpec:
     try:
         tags = doc.get("segments")
         bch = {t for t, name in enumerate(tags or ()) if PatternTag(name) in BCH_TAGS}
-        layout = CodeSpec(N=int(doc["N"]), K=int(doc["K"]),
-                          info_set=frozenset(int(i) for i in doc["info_set"]), bch_segments=bch)
+        if any(isinstance(v, bool) or not isinstance(v, int)
+               for v in (doc["N"], doc["K"], *doc["info_set"])):
+            raise TypeError("N, K and the info_set entries must be integers")
+        layout = CodeSpec(N=doc["N"], K=doc["K"], info_set=doc["info_set"], bch_segments=bch)
     except KeyError as exc:
         raise ValueError(f"layout document missing key: {exc}") from exc
     except TypeError as exc:

@@ -211,6 +211,16 @@ def hard_decision(alpha):
     return bits
 
 
+def wagner(alpha: np.ndarray) -> np.ndarray:
+    """The one parity-check decision: hard decisions on the last axis, with the
+    lowest-index minimum-magnitude position flipped where the parity fails."""
+    bits = hard_decision(alpha)
+    flip = np.zeros_like(bits)
+    np.put_along_axis(flip, np.argmin(np.abs(alpha), axis=-1)[..., None],
+                      np.bitwise_xor.reduce(bits, axis=-1)[..., None], axis=-1)
+    return bits ^ flip
+
+
 def llr_sum(alpha: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum LLRs along an axis; integer LLRs add in int64 so no partial sum wraps."""
     if np.issubdtype(alpha.dtype, np.integer):

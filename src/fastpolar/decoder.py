@@ -24,6 +24,7 @@ from .core import (
     hard_decision,
     llr_sum,
     saturate,
+    wagner,
 )
 from .encoder import info_gather, polar_transform
 
@@ -69,7 +70,8 @@ def parallel_min_mask(amplitudes, magnitude_bits: int) -> np.ndarray:
 
     Scans planes from most to least significant: candidates showing a 1 where
     others show 0 are eliminated, unless that would eliminate everyone.
-    Returns a boolean mask (possibly with several set bits).
+    Returns a boolean mask (possibly with several set bits). The model of the
+    paper's comparison circuit: decoders take argmin, its first mark, instead.
     """
     amp = np.asarray(amplitudes)
     if amp.shape[-1] < 2:
@@ -87,40 +89,25 @@ def parallel_min_mask(amplitudes, magnitude_bits: int) -> np.ndarray:
     return ~eliminated
 
 
-def decode_rep(alpha, width: int | None = None, stride: int = 1) -> np.ndarray:
+def decode_rep(alpha, stride: int = 1) -> np.ndarray:
     """Repetition decode: one hard decision on the LLR sum of each residue class
     mod stride, so stride 1 decodes REP and stride 2 decodes REP-2."""
     alpha = np.asarray(alpha)
     out = np.empty(alpha.shape, dtype=np.uint8)
     for r in range(stride):
         total = llr_sum(alpha[..., r::stride])
-        if width is not None:
-            total = saturate(total, width)
         out[..., r::stride] = np.asarray(hard_decision(total), dtype=np.uint8)[..., None]
     return out
 
 
-def decode_spc(alpha, width: int | None = None, stride: int = 1) -> np.ndarray:
+def decode_spc(alpha, stride: int = 1) -> np.ndarray:
     """Wagner decode of each residue class mod stride: flip the weakest position
-    of a class whose parity fails. Stride 1 decodes SPC, stride 2 SPC-2.
-
-    Duplicate minima resolve to the lowest index. The quantized path locates
-    the minimum through the bit-plane mask, the float path through argmin.
-    """
+    (argmin's, the lowest index of tied minima) of a class whose parity fails.
+    Stride 1 decodes SPC, stride 2 SPC-2."""
     alpha = np.asarray(alpha)
     out = np.empty(alpha.shape, dtype=np.uint8)
     for r in range(stride):
-        part = alpha[..., r::stride]
-        bits = np.atleast_1d(hard_decision(part))
-        parity = np.bitwise_xor.reduce(bits, axis=-1)
-        if width is None:
-            weakest = np.argmin(np.abs(part), axis=-1)
-        else:
-            weakest = np.argmax(parallel_min_mask(np.abs(part), width - 1), axis=-1)
-        flip = np.zeros_like(bits)
-        np.put_along_axis(flip, np.asarray(weakest)[..., None],
-                          np.asarray(parity)[..., None].astype(np.uint8), axis=-1)
-        out[..., r::stride] = bits ^ flip
+        out[..., r::stride] = wagner(alpha[..., r::stride])
     return out
 
 
@@ -167,7 +154,7 @@ def decode_pcr(alpha, width: int | None = None) -> np.ndarray:
     delta = llr_sum(view, axis=-2)
     if width is not None:
         delta = saturate(delta, width)
-    group_bits = decode_spc(delta, width)
+    group_bits = wagner(delta)
     out = np.broadcast_to(group_bits[..., None, :], view.shape)
     return np.ascontiguousarray(out).reshape(alpha.shape)
 
@@ -279,25 +266,42 @@ class DecodeResult:
 _NODE_DECODERS = {
     PatternTag.RATE0: lambda alpha, width: np.zeros(alpha.shape, dtype=np.uint8),
     PatternTag.RATE1: lambda alpha, width: np.atleast_1d(hard_decision(alpha)),
-    PatternTag.REP: decode_rep,
-    PatternTag.SPC: decode_spc,
-    PatternTag.SPC2: partial(decode_spc, stride=2),
-    PatternTag.REP2: partial(decode_rep, stride=2),
+    PatternTag.REP: lambda alpha, width: decode_rep(alpha),
+    PatternTag.SPC: lambda alpha, width: decode_spc(alpha),
+    PatternTag.SPC2: lambda alpha, width: decode_spc(alpha, stride=2),
+    PatternTag.REP2: lambda alpha, width: decode_rep(alpha, stride=2),
     PatternTag.RPC: decode_rpc,
     PatternTag.PCR: decode_pcr,
     **{tag: partial(bch_node_decode, variant=variant) for tag, variant in VARIANT_BY_TAG.items()},
 }
 
 
+def _entry_llrs(alpha: np.ndarray, width) -> np.ndarray:
+    """The one entry rule of both public decoders: with a width, integer LLRs
+    clamped into its range and carried as int8; without, finite float64 LLRs."""
+    if width is not None:
+        if not np.issubdtype(alpha.dtype, np.integer):
+            raise ValueError("fixed-point decoding requires integer LLRs")
+        if alpha.dtype.kind != "i":
+            alpha = alpha.astype(np.int64)
+        return saturate(alpha, width).astype(np.int8)
+    alpha = alpha.astype(np.float64, copy=False)
+    if not np.isfinite(alpha).all():
+        raise ValueError("LLRs must be finite: alpha holds NaN or inf")
+    return alpha
+
+
 def decode_node(tag, alpha, width: int | None = None) -> np.ndarray:
-    """Decode one node of any fast pattern tag, float or width-bit fixed point."""
+    """Decode one node of any fast pattern tag, float or width-bit fixed point,
+    under fast_sc_decode's entry rule (integers clamped into the width, floats
+    finite; anything else raises ValueError)."""
     tag = PatternTag(tag)
     alpha = np.asarray(alpha)
     if tag not in _NODE_DECODERS:
         raise ValueError(f"no node decoder for {tag}")
     if tag in NODE_SHAPES and alpha.shape[-1] <= NODE_SHAPES[tag][1]:
         raise ValueError(f"{tag.value} nodes need more than {NODE_SHAPES[tag][1]} values")
-    return _NODE_DECODERS[tag](alpha, width=width)
+    return _NODE_DECODERS[tag](_entry_llrs(alpha, width), width=width)
 
 
 _Terminal = namedtuple("_Terminal", "tag decode")  # a plan's node tag and its resolved decoder
@@ -382,16 +386,7 @@ def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
     alpha = np.asarray(alpha)
     if alpha.shape[-1:] != (code.N,):
         raise ValueError(f"expected LLRs of shape (..., {code.N}), got shape {alpha.shape}")
-    if width is not None:
-        if not np.issubdtype(alpha.dtype, np.integer):
-            raise ValueError("fixed-point decoding requires integer LLRs")
-        if alpha.dtype.kind != "i":
-            alpha = alpha.astype(np.int64)
-        alpha = saturate(alpha, width).astype(np.int8)
-    else:
-        alpha = alpha.astype(np.float64, copy=False)
-        if not np.isfinite(alpha).all():
-            raise ValueError("LLRs must be finite: alpha holds NaN or inf")
+    alpha = _entry_llrs(alpha, width)
     plan = decode_plan(code, limits)
     bits = np.empty(alpha.shape, dtype=np.uint8)
     frames, frame_bits = alpha.reshape(-1, code.N), bits.reshape(-1, code.N)

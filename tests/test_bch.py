@@ -54,12 +54,6 @@ def test_extension_bit_conventions():
             assert np.array_equal(codewords[:, 15], codewords[:, T1_REPEATED_POSITION])
 
 
-def test_repeated_position_is_configurable():
-    message = np.arange(11) % 2
-    codeword = bch_encode(message.astype(np.uint8), BchVariant.T1, repeated_position=9)
-    assert codeword[15] == codeword[9]
-
-
 def test_all_codewords_divisible_by_generator():
     # every inner codeword must have zero remainder mod g
     for variant in (BchVariant.T1, BchVariant.T2):

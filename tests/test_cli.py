@@ -175,7 +175,9 @@ def test_stats_inconsistent_segments_exits_three(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [{"N": 32, "K": 32, "info_set": 5},
                                  {"N": 32, "K": 0, "info_set": [], "segments": 5},
-                                 [32, 32, []]])
+                                 [32, 32, []],
+                                 {"N": 32.9, "K": 2, "info_set": [2.7, True]},
+                                 {"N": 32, "K": 1, "info_set": [True]}])
 def test_stats_wrongly_typed_field_exits_three(tmp_path, capsys, doc):
     path = tmp_path / "layout.json"
     path.write_text(json.dumps(doc))

@@ -203,7 +203,11 @@ def test_layout_from_dict_rejects_fields_of_the_wrong_type():
     for doc in ({"N": 32, "K": 32, "info_set": 5},
                 {"N": 32, "K": 0, "info_set": [], "segments": 5},
                 {"N": None, "K": 0, "info_set": []},
-                {"N": 32, "K": 1, "info_set": [[1]]}):
+                {"N": 32, "K": 1, "info_set": [[1]]},
+                {"N": 32.9, "K": 2, "info_set": [2.7, True]},
+                {"N": 32, "K": 1, "info_set": [True]},
+                {"N": 32, "K": 1.0, "info_set": [3]},
+                {"N": "32", "K": 1, "info_set": [3]}):
         with pytest.raises(ValueError, match="wrong type"):
             layout_from_dict(doc)
     for doc in ([32, 32, []], 5, None):

@@ -181,6 +181,11 @@ def test_parallel_min_mask_matches_argmin_set():
             amps = rng.integers(0, top + 1, size=(500, M))
             mask = parallel_min_mask(amps, bits)
             assert np.array_equal(mask, amps == amps.min(axis=-1, keepdims=True))
+    # every M=4 input at width 5: the mask is the argmin set, its first mark argmin
+    amps = (np.arange(16 ** 4)[:, None] >> (4 * np.arange(4))) & 15
+    mask = parallel_min_mask(amps, 4)
+    assert np.array_equal(mask, amps == amps.min(axis=-1, keepdims=True))
+    assert np.array_equal(np.argmax(mask, axis=-1), np.argmin(amps, axis=-1))
 
 
 def test_parallel_min_mask_validation():
@@ -204,6 +209,49 @@ def test_quantized_wagner_matches_float_on_unique_min():
         fixed = decode_node(PatternTag.SPC, alpha, width=5)
         floated = decode_node(PatternTag.SPC, alpha.astype(np.float64))
         assert np.array_equal(fixed, floated)
+
+
+def test_wagner_nodes_flip_the_first_bit_plane_minimum():
+    # The bit-plane rule the decoder used to run: hard decisions, flipped at
+    # the first position parallel_min_mask marks where the parity fails.
+    def wagner_by_mask(a, width):
+        bits = (a < 0).astype(np.uint8)
+        weakest = np.argmax(parallel_min_mask(np.abs(a), width - 1), axis=-1)
+        parity = np.bitwise_xor.reduce(bits, axis=-1)
+        bits[np.arange(len(a)), weakest] ^= parity
+        return bits
+
+    rng = np.random.default_rng(97)
+    for width in range(4, 9):
+        limit = saturation_limit(width)
+        for M in (4, 8, 16, 32):
+            # small magnitudes, so most rows hold tied minima
+            alpha = rng.integers(-3, 4, size=(2000, M))
+            spc = wagner_by_mask(alpha, width)
+            assert np.array_equal(decode_node(PatternTag.SPC, alpha, width=width), spc)
+            spc2 = np.empty_like(spc)
+            for r in range(2):
+                spc2[:, r::2] = wagner_by_mask(alpha[:, r::2], width)
+            assert np.array_equal(decode_node(PatternTag.SPC2, alpha, width=width), spc2)
+            sums = np.clip(alpha.reshape(-1, M // 4, 4).sum(axis=1), -limit, limit)
+            pcr = np.tile(wagner_by_mask(sums, width), M // 4)
+            assert np.array_equal(decode_node(PatternTag.PCR, alpha, width=width), pcr)
+
+
+@pytest.mark.parametrize("tag", [tag for tag in PatternTag if tag is not PatternTag.SLOW],
+                         ids=lambda tag: tag.value)
+def test_decode_node_follows_the_decoder_entry_rule(tag):
+    rng = np.random.default_rng(101)
+    alpha = rng.integers(-40, 41, size=(300, 16))
+    assert (np.abs(alpha) > 15).any()
+    assert np.array_equal(decode_node(tag, alpha, width=5),
+                          decode_node(tag, np.clip(alpha, -15, 15), width=5))
+    with pytest.raises(ValueError, match="integer"):
+        decode_node(tag, alpha.astype(np.float64), width=5)
+    bad = alpha.astype(np.float64)
+    bad[7, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        decode_node(tag, bad)
 
 
 def _node_id(tag):
