@@ -182,11 +182,12 @@ def saturate(values: np.ndarray, width: int) -> np.ndarray:
 class QuantizedLLR:
     """Fixed-point LLR value(s) under symmetric saturation.
 
-    value may be a scalar or an integer array; the most negative two's
-    complement code is never used, so magnitudes fit in width-1 bits.
+    value may be a scalar or an integer array (quantize_channel gives int8);
+    the most negative two's complement code is never used, so magnitudes fit
+    in width-1 bits.
     """
 
-    value: int | np.ndarray
+    value: int | np.integer | np.ndarray
     width: int
 
     def __post_init__(self) -> None:
@@ -211,12 +212,24 @@ def hard_decision(alpha):
     return bits
 
 
+_UNSIGNED = {np.dtype(f"i{size}"): np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
+
+
+def magnitude(alpha):
+    """|alpha|, with signed integers read back as unsigned of the same size, so
+    the most negative code (int8 -128) is 128 rather than wrapping to itself.
+    The view costs no pass over the data."""
+    mag = np.abs(alpha)
+    unsigned = _UNSIGNED.get(mag.dtype)
+    return mag if unsigned is None else mag.view(unsigned)
+
+
 def wagner(alpha: np.ndarray) -> np.ndarray:
     """The one parity-check decision: hard decisions on the last axis, with the
     lowest-index minimum-magnitude position flipped where the parity fails."""
     bits = hard_decision(alpha)
     flip = np.zeros_like(bits)
-    np.put_along_axis(flip, np.argmin(np.abs(alpha), axis=-1)[..., None],
+    np.put_along_axis(flip, np.argmin(magnitude(alpha), axis=-1)[..., None],
                       np.bitwise_xor.reduce(bits, axis=-1)[..., None], axis=-1)
     return bits ^ flip
 

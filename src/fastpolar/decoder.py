@@ -23,6 +23,7 @@ from .core import (
     frozen_prefix,
     hard_decision,
     llr_sum,
+    magnitude,
     saturate,
     wagner,
 )
@@ -30,26 +31,23 @@ from .encoder import info_gather, polar_transform
 
 
 def f_check(a, b):
-    """Min-sum check update: sign(a) * sign(b) * min(|a|, |b|), with sign(0) = 0.
+    """Min-sum check update: sign(a) * sign(b) * min(|a|, |b|), with sign(0) = 0,
+    on floats or signed integers.
 
-    Integers apply the sign branch-free: s = (a ^ b) >> (bits - 1) is 0 or -1,
-    and (m ^ s) - s is m or -m. Floats use copysign, so 0 * inf never occurs.
+    Computed as max(min(a, b), -max(a, b)), which equals it exactly and takes
+    no magnitude: the only negation is of max(a, b), so it is exact in two's
+    complement except for (-128, -128) in int8, which stays -128 as +128 has
+    no int8 code.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    m = np.minimum(np.abs(a), np.abs(b))
-    if m.dtype.kind != "i":
-        return np.copysign(m, a) * np.sign(b)
-    sign = a ^ b
-    sign >>= 8 * sign.dtype.itemsize - 1
-    return (m ^ sign) - sign
+    return np.maximum(np.minimum(a, b), -np.maximum(a, b))
 
 
 def g_bit(a, b, u, width=None):
     """Variable update: b + (1 - 2u) * a, saturating when a width is given.
 
-    Integers add in at least 16 bits, +-a applied branch-free as in f_check, so
-    no sum wraps; a saturated result narrows back to the inputs' dtype.
+    Integers add in at least 16 bits, so no sum wraps, with +-a applied
+    branch-free: for s = -u (0 or -1), (a ^ s) - s is a or -a. A saturated
+    result narrows back to the inputs' dtype.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -129,7 +127,7 @@ def decode_rpc(alpha, width: int | None = None) -> np.ndarray:
     view = _group_view(alpha)
     bits = np.atleast_2d(hard_decision(view))
     c = np.bitwise_xor.reduce(bits, axis=-2)
-    mag = np.abs(view)
+    mag = magnitude(view)
     delta = mag.min(axis=-2)
     weakest = mag.argmin(axis=-2)
     cost_ones = llr_sum(np.where(c == 1, delta, 0))
@@ -284,7 +282,7 @@ def _entry_llrs(alpha: np.ndarray, width) -> np.ndarray:
             raise ValueError("fixed-point decoding requires integer LLRs")
         if alpha.dtype.kind != "i":
             alpha = alpha.astype(np.int64)
-        return saturate(alpha, width).astype(np.int8)
+        return saturate(alpha, width).astype(np.int8, copy=False)
     alpha = alpha.astype(np.float64, copy=False)
     if not np.isfinite(alpha).all():
         raise ValueError("LLRs must be finite: alpha holds NaN or inf")

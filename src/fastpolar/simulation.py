@@ -18,6 +18,8 @@ from .encoder import encode
 _MODULATIONS = ("bpsk", "qpsk")
 _LAYOUTS = ("ga", "fast")
 _ARITHMETIC = ("float", "fixed")
+# LLRs quantize_channel rounds at a time: a 256 kB float64 block stays in cache.
+_QUANTIZE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,25 @@ def eb_n0_db(snr_db: float, rate: float, modulation: str) -> float:
 
 
 def transmit(codeword, snr_db, modulation, rng, zero_noise: bool = False) -> np.ndarray:
-    """BPSK/QPSK-modulate bits (..., N) over AWGN and return channel LLRs 2y/sigma^2."""
+    """BPSK/QPSK-modulate bits (..., N) over AWGN and return channel LLRs 2y/sigma^2.
+
+    The LLRs are built in place in one float64 buffer: noise * sqrt(sigma^2),
+    plus the symbol 1 - 2c, times 2, over sigma^2. These are the operations of
+    2 * ((1 - 2c) + noise * sqrt(sigma^2)) / sigma^2 in the same order, which is
+    what keeps the LLRs bit-identical to that expression.
+    """
     bits = np.asarray(codeword)
     sigma2 = noise_variance(snr_db, modulation)
-    y = 1.0 - 2.0 * bits
-    if not zero_noise:
-        y = y + rng.standard_normal(bits.shape) * math.sqrt(sigma2)
-    return 2.0 * y / sigma2
+    symbols = 1 - 2 * bits.astype(np.int8)
+    if zero_noise:
+        llr = symbols.astype(np.float64)
+    else:
+        llr = rng.standard_normal(bits.shape)
+        llr *= math.sqrt(sigma2)
+        llr += symbols
+    llr *= 2.0
+    llr /= sigma2
+    return llr if llr.ndim else llr[()]
 
 
 def default_llr_scale(width: int, snr_db: float, modulation: str) -> float:
@@ -114,14 +128,26 @@ def default_llr_scale(width: int, snr_db: float, modulation: str) -> float:
 
 
 def quantize_channel(llr, width: int, scale: float) -> QuantizedLLR:
-    """Round llr * scale into the symmetric width-bit range."""
+    """Round llr * scale into the symmetric width-bit range, as int8.
+
+    The products are rounded and clipped in place, a cache-sized block at a
+    time, and each block is narrowed once; llr is left as it was. A scalar
+    llr gives an np.int8 value.
+    """
     if scale <= 0:
         raise ValueError("scale must be positive")
     limit = saturation_limit(width)
-    values = np.clip(np.rint(np.asarray(llr) * scale), -limit, limit).astype(np.int64)
-    if values.ndim == 0:
-        return QuantizedLLR(int(values), width)
-    return QuantizedLLR(values, width)
+    llr = np.asarray(llr)
+    out = np.empty(llr.shape, dtype=np.int8)
+    flat, narrow = llr.reshape(-1), out.reshape(-1)
+    buffer = np.empty(min(flat.size, _QUANTIZE_BLOCK))
+    for lo in range(0, flat.size, _QUANTIZE_BLOCK):
+        block = buffer[:flat.size - lo]
+        np.multiply(flat[lo:lo + _QUANTIZE_BLOCK], scale, out=block)
+        np.rint(block, out=block)
+        np.clip(block, -limit, limit, out=block)
+        narrow[lo:lo + _QUANTIZE_BLOCK] = block
+    return QuantizedLLR(out[()] if out.ndim == 0 else out, width)
 
 
 def _build_layout(config: SimConfig):
@@ -142,8 +168,9 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
         scale = config.llr_scale
         if scale is None:
             scale = default_llr_scale(config.q_ch, snr_db, config.modulation)
-        quantized = quantize_channel(llr, config.q_ch, scale)
-        decoded = fast_sc_decode(code, quantized.value, width=config.q_int)
+        # rebinding llr frees the float buffer before the decode
+        llr = quantize_channel(llr, config.q_ch, scale).value
+        decoded = fast_sc_decode(code, llr, width=config.q_int)
     else:
         decoded = fast_sc_decode(code, llr)
     wrong = decoded.info_bits != messages

@@ -10,6 +10,7 @@ from fastpolar.bch import (
     bch_encode,
     bch_node_decode,
 )
+from fastpolar.core import hard_decision, wagner
 
 
 def _all_messages(variant):
@@ -137,6 +138,21 @@ def test_t2_node_two_step_uses_parity_flip():
     amplitudes[6] = 2.0
     amplitudes[12] = 3.0
     alpha = (1.0 - 2.0 * received) * amplitudes
+    assert np.array_equal(bch_node_decode(alpha, BchVariant.T2), codeword)
+
+
+def test_t2_node_never_takes_the_int8_minimum_as_weakest():
+    # -128 is the strongest int8 LLR; read as a signed |x| it would wrap to
+    # -128 and win the Wagner flip over the truly weakest position
+    codeword = bch_encode(np.ones(7, dtype=np.uint8), BchVariant.T2)
+    received = codeword.copy()
+    received[[1, 4, 6]] ^= 1
+    alpha = ((1 - 2 * received.astype(np.int16)) * 100).astype(np.int8)
+    alpha[4] //= 100
+    strong = next(i for i in range(15) if codeword[i] == 1 and i not in (1, 4, 6))
+    alpha[strong] = -128
+    flipped = wagner(alpha) ^ hard_decision(alpha)
+    assert np.flatnonzero(flipped).tolist() == [4]
     assert np.array_equal(bch_node_decode(alpha, BchVariant.T2), codeword)
 
 

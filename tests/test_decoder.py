@@ -48,7 +48,7 @@ def test_g_bit_signed_add():
     assert g_bit(np.int64(-14), np.int64(-14), 0, width=5) == -15
 
 
-_INT8_RANGE = np.arange(-127, 128, dtype=np.int8)
+_INT8_RANGE = np.arange(-128, 128, dtype=np.int8)
 
 
 def _all_int8_pairs():
@@ -62,7 +62,11 @@ def test_f_check_matches_reference_on_every_int8_pair():
     reference = np.sign(wide_a) * np.sign(wide_b) * np.minimum(np.abs(wide_a), np.abs(wide_b))
     narrow = f_check(a, b)
     assert narrow.dtype == np.int8
-    assert np.array_equal(narrow, reference)
+    # +128 has no int8 code, so (-128, -128) is the one pair that keeps -128
+    both = (a == -128) & (b == -128)
+    assert narrow[both].tolist() == [-128]
+    assert np.array_equal(narrow[~both], reference[~both])
+    assert f_check(np.int8(-128), np.int8(5)) == -5
     wide = f_check(wide_a, wide_b)
     assert wide.dtype == np.int64
     assert np.array_equal(wide, reference)
@@ -408,6 +412,22 @@ def test_fast_decode_rejects_quantized_llr_container():
         with pytest.raises(ValueError, match=r"shape \(\.\.\., 32\)"):
             fast_sc_decode(code, q, width=width)
     assert np.array_equal(fast_sc_decode(code, q.value, width=5).info_bits, info)
+
+
+def test_int8_llrs_decode_like_int64_and_are_left_unmodified():
+    # the entry clamps int8 LLRs without a second copy; the clamp must still
+    # leave the caller's array as it was, batched and at batch 1
+    code = construct_fast_polar(256, 192, "ga")
+    rng = np.random.default_rng(89)
+    for high in (16, 128):      # inside the 5-bit range, and clamped on entry
+        llr = rng.integers(-high, high, size=(9, 256)).astype(np.int8)
+        kept = llr.copy()
+        for alpha in (llr, llr[4]):
+            narrow = fast_sc_decode(code, alpha, width=5)
+            wide = fast_sc_decode(code, alpha.astype(np.int64), width=5)
+            assert np.array_equal(narrow.info_bits, wide.info_bits)
+            assert np.array_equal(narrow.codeword_estimate, wide.codeword_estimate)
+        assert np.array_equal(llr, kept)
 
 
 def test_fast_decode_rejects_input_without_a_frame_axis():

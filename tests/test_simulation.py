@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fastpolar import simulation
+from fastpolar.core import QuantizedLLR
 from fastpolar.simulation import (
     RECORD_CSV_HEADER,
     SimConfig,
@@ -73,6 +74,70 @@ def test_quantize_channel_examples():
     assert list(q.value) == [0, -1, 7]
     with pytest.raises(ValueError):
         quantize_channel(1.0, 5, 0.0)
+
+
+def _reference_transmit(codeword, snr_db, modulation, rng, zero_noise=False):
+    """The channel written out as one expression, a new array per step."""
+    c = np.asarray(codeword)
+    s2 = noise_variance(snr_db, modulation)
+    y = 1.0 - 2.0 * c
+    if zero_noise:
+        return 2.0 * y / s2
+    n = rng.standard_normal(c.shape)
+    return 2.0 * (y + n * math.sqrt(s2)) / s2
+
+
+def _reference_quantize(llr, width, scale):
+    limit = 2 ** (width - 1) - 1
+    return np.clip(np.rint(np.asarray(llr) * scale), -limit, limit).astype(np.int64)
+
+
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+@pytest.mark.parametrize("snr_db", [-3.0, 0.0, 4.5, 7.2])
+@pytest.mark.parametrize("zero_noise", [False, True])
+def test_in_place_channel_matches_the_reference_chain(modulation, snr_db, zero_noise):
+    bits_rng = np.random.default_rng(97)
+    # (40, 1024) spans two of quantize_channel's blocks, the second one partial
+    for shape in ((), (16,), (7, 16), (3, 5, 16), (40, 1024)):
+        codeword = bits_rng.integers(0, 2, size=shape, dtype=np.uint8)
+        inputs = [codeword, int(codeword)] if shape == () else [codeword]
+        for c in inputs:
+            llr = transmit(c, snr_db, modulation, np.random.default_rng(5), zero_noise)
+            ref = _reference_transmit(c, snr_db, modulation, np.random.default_rng(5),
+                                      zero_noise)
+            assert np.shape(llr) == shape
+            assert np.asarray(llr, dtype=np.float64).tobytes() == ref.tobytes()
+            for width in range(4, 9):
+                scales = (default_llr_scale(width, snr_db, modulation), 1e-6, 0.37, 1e6)
+                for scale in scales:
+                    q = quantize_channel(llr, width, scale)
+                    assert q.value.dtype == np.int8
+                    assert np.shape(q.value) == shape
+                    assert np.array_equal(q.value, _reference_quantize(ref, width, scale))
+            if shape:
+                strided = quantize_channel(llr[..., ::3], 5, 0.37).value
+                assert np.array_equal(strided, _reference_quantize(ref[..., ::3], 5, 0.37))
+
+
+def test_scalar_channel_gives_scalars():
+    for zero_noise in (False, True):
+        llr = transmit(1, 2.0, "bpsk", np.random.default_rng(3), zero_noise)
+        assert isinstance(llr, np.float64)
+    for llr in (1000.0, -1.4, np.float64(0.6), np.array(-2.5)):
+        q = quantize_channel(llr, 5, 2.0)
+        assert isinstance(q.value, np.int8)
+        assert q.value == _reference_quantize(llr, 5, 2.0)
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "fixed"])
+def test_run_bler_counts_match_the_reference_channel(monkeypatch, arithmetic):
+    config = _tiny_config(arithmetic=arithmetic, snr_grid_db=(1.0, 3.0), target_errors=30)
+    records = run_bler(config)
+    assert records[0].frame_errors > 0
+    monkeypatch.setattr(simulation, "transmit", _reference_transmit)
+    monkeypatch.setattr(simulation, "quantize_channel", lambda llr, width, scale:
+                        QuantizedLLR(_reference_quantize(llr, width, scale), width))
+    assert run_bler(config) == records
 
 
 def test_sim_config_validation():
