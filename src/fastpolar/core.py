@@ -8,6 +8,11 @@ from functools import cached_property
 
 import numpy as np
 
+try:  # the ufunc under np.clip, without np.clip's per-call Python layer
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1
+    from numpy.core.umath import clip as _clip
+
 SEGMENT_SIZE = 16
 
 MIN_WIDTH = 4
@@ -173,9 +178,11 @@ def saturation_limit(width: int) -> int:
 
 
 def saturate(values: np.ndarray, width: int) -> np.ndarray:
-    """Clamp integer LLRs into the symmetric width-bit range."""
+    """Clamp signed integer or float LLRs into the symmetric width-bit range,
+    into a new array. The clip ufunc skips np.clip's np.iinfo per Python-int
+    bound, which costs more than the clip on a batch-1 decode's arrays."""
     limit = saturation_limit(width)
-    return np.clip(values, -limit, limit)
+    return _clip(values, -limit, limit)
 
 
 @dataclass(frozen=True)
@@ -204,7 +211,8 @@ class QuantizedLLR:
 
 
 def hard_decision(alpha):
-    """Map LLR(s) to bit(s): 0 for alpha >= 0, else 1."""
+    """Map LLR(s) to bit(s): 0 for alpha >= 0, else 1. NaN decides 0, unchecked:
+    the decode entry is the one gate for non-finite LLRs."""
     arr = np.asarray(alpha)
     bits = (arr < 0).astype(np.uint8)
     if arr.ndim == 0:

@@ -25,42 +25,54 @@ from .core import (
     llr_sum,
     magnitude,
     saturate,
+    saturation_limit,
     wagner,
 )
 from .encoder import info_gather, polar_transform
 
 
-def f_check(a, b):
+def f_check(a, b, out=None):
     """Min-sum check update: sign(a) * sign(b) * min(|a|, |b|), with sign(0) = 0,
     on floats or signed integers.
 
     Computed as max(min(a, b), -max(a, b)), which equals it exactly and takes
     no magnitude: the only negation is of max(a, b), so it is exact in two's
     complement except for (-128, -128) in int8, which stays -128 as +128 has
-    no int8 code.
+    no int8 code. With out, -max(a, b) is built in out and min(a, b) is the
+    one temporary; out is returned. NaN propagates, unchecked, as in g_bit.
     """
-    return np.maximum(np.minimum(a, b), -np.maximum(a, b))
+    low = np.minimum(a, b)
+    return np.maximum(low, np.negative(np.maximum(a, b, out=out), out=out), out=out)
 
 
-def g_bit(a, b, u, width=None):
+def g_bit(a, b, u, width=None, out=None):
     """Variable update: b + (1 - 2u) * a, saturating when a width is given.
 
     Integers add in at least 16 bits, so no sum wraps, with +-a applied
     branch-free: for s = -u (0 or -1), (a ^ s) - s is a or -a. A saturated
-    result narrows back to the inputs' dtype.
+    result narrows back to the inputs' dtype. With out (returned), floats run
+    the same operations in out, and an int8 sum at widths 4 to 7, where no two
+    in-range values can wrap, is formed in out: its inputs must lie in the
+    width's range, as the decoder's do. NaN propagates, unchecked.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    u = np.asarray(u)
+    a, b, u = np.asarray(a), np.asarray(b), np.asarray(u)
     dtype = np.result_type(a, b)
     if dtype.kind != "i":
-        total = b + (1.0 - 2.0 * u) * a
-        return total if width is None else saturate(total, width)
-    wide = np.promote_types(dtype, np.int16)
-    sign = np.negative(u, dtype=wide)
-    total = (a.astype(wide) ^ sign) - sign
-    total += b
-    return total if width is None else saturate(total, width).astype(dtype)
+        sign = np.subtract(1.0, np.multiply(u, 2.0, out=out), out=out)
+        total = np.add(b, np.multiply(sign, a, out=out), out=out)
+        total = total if width is None else saturate(total, width)
+    else:
+        narrow = out is not None and out.dtype == dtype == np.int8 \
+            and width is not None and 2 * saturation_limit(width) <= 127
+        wide = dtype if narrow else np.promote_types(dtype, np.int16)
+        sign = np.negative(u, dtype=wide)
+        total = np.bitwise_xor(a, sign, dtype=wide, out=out if narrow else None)
+        total -= sign
+        total += b
+        total = total if width is None else saturate(total, width).astype(dtype, copy=False)
+    if out is not None and total is not out:
+        out[...] = total
+    return total if out is None else out
 
 
 def parallel_min_mask(amplitudes, magnitude_bits: int) -> np.ndarray:
@@ -310,8 +322,9 @@ def _decode_terminal(node: _Terminal, alpha, width):
 
 
 _F, _G, _NODE, _COMBINE = range(4)
-# Frames decoded together: a float64 stage of this many frames is at most 4 MB,
-# so each block's stages stay in cache and big batches keep a small heap.
+# Frames decoded together, and the block run_bler streams each chunk in: the
+# stage memory of this many float64 frames is 8 MB, and big batches keep a
+# small heap.
 _BLOCK_FRAMES = 1024
 
 
@@ -359,16 +372,20 @@ def decode_plan(code: CodeSpec, limits: PatternLimits | None = None) -> DecodePl
     return plans[limits]
 
 
-def _run_plan(plan: DecodePlan, alpha: np.ndarray, bits: np.ndarray, width) -> None:
-    """Run the plan's steps on LLRs (frames, N), writing the codewords into bits."""
-    llr = {alpha.shape[-1].bit_length() - 1: alpha}  # per stage; popped by the last reader
+def _run_plan(plan: DecodePlan, alpha: np.ndarray, bits: np.ndarray, width, memory) -> None:
+    """Run the plan's steps on LLRs (frames, N), writing the codewords into bits.
+    Stage s < n keeps its (frames, 2^s) LLRs at memory[frames * (2^s - 1):]: F
+    and G at stage s overwrite stage s - 1, G once the left subtree is done."""
+    rows = len(alpha)
+    llr = [memory[rows * ((1 << s) - 1):rows * ((2 << s) - 1)].reshape(rows, 1 << s)
+           for s in range(alpha.shape[-1].bit_length() - 1)] + [alpha]
     for kind, stage, x, y, z in plan.steps:
         if kind == _F:
-            llr[stage - 1] = f_check(llr[stage][x], llr[stage][y])
+            f_check(llr[stage][x], llr[stage][y], out=llr[stage - 1])
         elif kind == _G:
-            llr[stage - 1] = g_bit(llr[stage][x], llr.pop(stage)[y], bits[z], width)
+            g_bit(llr[stage][x], llr[stage][y], bits[z], width, out=llr[stage - 1])
         elif kind == _NODE:
-            bits[x] = _decode_terminal(z, llr.pop(stage), width)
+            bits[x] = _decode_terminal(z, llr[stage], width)
         else:
             bits[x] ^= bits[y]
 
@@ -379,7 +396,8 @@ def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
 
     A fixed-point width is given only as width. Integer inputs are clamped
     into the width's range on entry and carried as int8. Float LLRs must be
-    finite: a NaN or +-inf anywhere in alpha raises ValueError.
+    finite: a NaN or +-inf anywhere in alpha raises ValueError. This is the one
+    NaN gate; the kernels (f_check, g_bit, hard_decision) check nothing.
     """
     alpha = np.asarray(alpha)
     if alpha.shape[-1:] != (code.N,):
@@ -388,8 +406,10 @@ def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
     plan = decode_plan(code, limits)
     bits = np.empty(alpha.shape, dtype=np.uint8)
     frames, frame_bits = alpha.reshape(-1, code.N), bits.reshape(-1, code.N)
+    memory = np.empty(min(len(frames), _BLOCK_FRAMES) * (code.N - 1), dtype=alpha.dtype)
     for lo in range(0, len(frames), _BLOCK_FRAMES):
-        _run_plan(plan, frames[lo:lo + _BLOCK_FRAMES], frame_bits[lo:lo + _BLOCK_FRAMES], width)
+        _run_plan(plan, frames[lo:lo + _BLOCK_FRAMES], frame_bits[lo:lo + _BLOCK_FRAMES],
+                  width, memory)
     u_hat = polar_transform(bits)
     if plan.bch_blocks:
         blocks = u_hat.reshape(u_hat.shape[:-1] + (-1, SEGMENT_SIZE))

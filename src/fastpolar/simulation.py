@@ -12,7 +12,7 @@ import numpy as np
 
 from .construction import DEFAULT_DESIGN_SNR_DB, construct_fast_polar, construct_polar
 from .core import QuantizedLLR, saturation_limit
-from .decoder import fast_sc_decode
+from .decoder import _BLOCK_FRAMES, fast_sc_decode
 from .encoder import encode
 
 _MODULATIONS = ("bpsk", "qpsk")
@@ -158,23 +158,28 @@ def _build_layout(config: SimConfig):
 
 def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
                   chunk_idx: int, frames: int):
-    """Simulate one deterministic chunk; returns (frames, frame_errors, bit_errors)."""
+    """Simulate one deterministic chunk; returns (frames, frame_errors, bit_errors).
+    Channel, quantizer and decode run one decoder block at a time, with the
+    noise drawn in frame order, so the LLRs are those of a whole-chunk transmit."""
     seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
     rng = np.random.default_rng(seed)
     messages = rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8)
-    llr = transmit(encode(code, messages), snr_db, config.modulation, rng,
-                   zero_noise=config.zero_noise)
-    if config.arithmetic == "fixed":
-        scale = config.llr_scale
-        if scale is None:
-            scale = default_llr_scale(config.q_ch, snr_db, config.modulation)
-        # rebinding llr frees the float buffer before the decode
-        llr = quantize_channel(llr, config.q_ch, scale).value
-        decoded = fast_sc_decode(code, llr, width=config.q_int)
-    else:
-        decoded = fast_sc_decode(code, llr)
-    wrong = decoded.info_bits != messages
-    return frames, int(wrong.any(axis=-1).sum()), int(wrong.sum())
+    codewords = encode(code, messages)
+    fixed = config.arithmetic == "fixed"
+    scale = config.llr_scale
+    if fixed and scale is None:
+        scale = default_llr_scale(config.q_ch, snr_db, config.modulation)
+    errors = np.empty(frames, dtype=np.int64)  # bit errors per frame
+    for lo in range(0, frames, _BLOCK_FRAMES):
+        block = slice(lo, lo + _BLOCK_FRAMES)
+        llr = transmit(codewords[block], snr_db, config.modulation, rng,
+                       zero_noise=config.zero_noise)
+        if fixed:
+            # rebinding llr frees the float block before the decode
+            llr = quantize_channel(llr, config.q_ch, scale).value
+        decoded = fast_sc_decode(code, llr, width=config.q_int if fixed else None)
+        errors[block] = np.count_nonzero(decoded.info_bits != messages[block], axis=-1)
+    return frames, int(np.count_nonzero(errors)), int(errors.sum())
 
 
 def _run_point(code, config: SimConfig, snr_db: float, point_idx: int) -> BlerRecord:

@@ -12,6 +12,7 @@ from fastpolar.core import (
     CodeSpec,
     PatternTag,
     QuantizedLLR,
+    hard_decision,
     node_frozen_mask,
     saturation_limit,
 )
@@ -114,6 +115,62 @@ def test_g_bit_dtype_follows_inputs():
         # unsaturated sums keep at least 16 bits, so they never wrap
         assert list(g_bit(x, x, u)) == [200, 0]
     assert g_bit(np.ones(2), np.ones(2), u).dtype == np.float64
+
+
+def _assert_writes_into_out(kernel, args, dtype):
+    """kernel(*args, out=o) returns o, holds what kernel(*args) returns, and
+    leaves every argument as it was."""
+    before = [np.array(x, copy=True) for x in args]
+    expected = kernel(*args)
+    out = np.empty(np.shape(expected), dtype=dtype)
+    assert kernel(*args, out=out) is out
+    assert out.tobytes() == np.asarray(expected, dtype=dtype).tobytes()
+    for x, old in zip(args, before):
+        assert np.asarray(x).tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("width", [4, 5, 6, 7, 8])
+def test_out_kernels_match_the_allocating_forms_on_int8(width):
+    a, b = _all_int8_pairs()
+    _assert_writes_into_out(f_check, (a, b), np.int8)
+    limit = saturation_limit(width)
+    # widths 4 to 7 add in the int8 out itself, exact on the width's range (all
+    # that a decode's G steps see); width 8 adds in int16, exact on every pair
+    keep = (width == 8) | ((np.abs(a.astype(int)) <= limit) & (np.abs(b.astype(int)) <= limit))
+    for u in (0, 1):
+        bits = np.full(a.shape, u, dtype=np.uint8)
+        _assert_writes_into_out(g_bit, (a[keep], b[keep], bits[keep], width), np.int8)
+
+
+def test_out_kernels_match_the_allocating_forms_on_strided_floats():
+    rng = np.random.default_rng(23)
+    special = np.array([0.0, -0.0, np.inf, -np.inf])
+    pairs = [x.ravel() for x in np.meshgrid(special, special, indexing="ij")]
+    # (rows, 2M) stage LLRs split into halves, and the bits of a wider frame,
+    # as a plan's F and G steps slice them
+    stage = rng.normal(size=(40, 64)) * 10
+    stage[:16, :16], stage[:16, 32:48] = pairs[0].reshape(1, 16), pairs[1].reshape(1, 16)
+    a, b = stage[:, :32], stage[:, 32:]
+    bits = rng.integers(0, 2, size=(40, 128), dtype=np.uint8)
+    _assert_writes_into_out(f_check, (a, b), np.float64)
+    with np.errstate(invalid="ignore"):     # inf - inf
+        for u in (bits[:, 64:96], np.zeros_like(bits[:, :32]), np.ones_like(bits[:, :32])):
+            _assert_writes_into_out(g_bit, (a, b, u), np.float64)
+
+
+def test_nan_passes_through_the_kernels_and_stops_at_the_decode_entry():
+    # one behaviour: the kernels add no check, and the decode entry rejects NaN
+    assert hard_decision(np.nan) == 0
+    assert hard_decision(np.array([np.nan, -np.nan])).tolist() == [0, 0]
+    for x in (-3.0, -0.0, 0.0, 2.0, np.inf, -np.inf):
+        assert np.isnan(f_check(np.nan, x)) and np.isnan(f_check(x, np.nan))
+        for u in (0, 1):
+            assert np.isnan(g_bit(np.nan, x, u)) and np.isnan(g_bit(x, np.nan, u))
+    out = np.empty(2)
+    assert np.isnan(f_check(np.array([np.nan, 1.0]), np.array([2.0, np.nan]), out=out)).all()
+    assert np.isnan(g_bit(np.array([np.nan, 1.0]), np.array([2.0, np.nan]), 1, out=out)).all()
+    with pytest.raises(ValueError, match="finite"):
+        fast_sc_decode(construct_fast_polar(64, 48, "ga"), np.full(64, np.nan))
 
 
 def test_classic_nodes():

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastpolar import simulation
+from fastpolar import decoder, simulation
 from fastpolar.core import QuantizedLLR
+from fastpolar.encoder import encode
 from fastpolar.simulation import (
     RECORD_CSV_HEADER,
     SimConfig,
@@ -137,6 +138,39 @@ def test_run_bler_counts_match_the_reference_channel(monkeypatch, arithmetic):
     monkeypatch.setattr(simulation, "transmit", _reference_transmit)
     monkeypatch.setattr(simulation, "quantize_channel", lambda llr, width, scale:
                         QuantizedLLR(_reference_quantize(llr, width, scale), width))
+    assert run_bler(config) == records
+
+
+def _one_shot_chunk(code, config, snr_db, point_idx, chunk_idx, frames):
+    """One chunk as a single chain: the whole chunk through the reference
+    channel at once, then one decode."""
+    seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
+    rng = np.random.default_rng(seed)
+    messages = rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8)
+    llr = _reference_transmit(encode(code, messages), snr_db, config.modulation, rng)
+    width = None
+    if config.arithmetic == "fixed":
+        scale = simulation.default_llr_scale(config.q_ch, snr_db, config.modulation)
+        llr, width = _reference_quantize(llr, config.q_ch, scale), config.q_int
+    wrong = decoder.fast_sc_decode(code, llr, width=width).info_bits != messages
+    return frames, int(wrong.any(axis=-1).sum()), int(wrong.sum())
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "fixed"])
+def test_run_bler_chunks_spanning_decode_blocks_match_one_shot_chunks(monkeypatch, arithmetic):
+    # 2,500-frame chunks: two full decode blocks and a partial one each
+    config = _tiny_config(arithmetic=arithmetic, snr_grid_db=(1.0, 3.0), max_frames=5000,
+                          target_errors=10 ** 6, chunk_frames=2500)
+    assert config.chunk_frames % decoder._BLOCK_FRAMES and \
+        config.chunk_frames > decoder._BLOCK_FRAMES
+    batches = []
+    decode = simulation.fast_sc_decode
+    monkeypatch.setattr(simulation, "fast_sc_decode",
+                        lambda code, llr, **kw: batches.append(len(llr)) or decode(code, llr, **kw))
+    records = run_bler(config)
+    assert batches == [1024, 1024, 452] * 4
+    assert records[0].frame_errors > 0 and records[1].frames == 5000
+    monkeypatch.setattr(simulation, "_chunk_counts", _one_shot_chunk)
     assert run_bler(config) == records
 
 
