@@ -1,4 +1,4 @@
-"""GF(16) arithmetic and the two grafted extended BCH codes (length 16)."""
+"""The two grafted extended BCH codes (length 16): encoding and table decoding."""
 
 from __future__ import annotations
 
@@ -8,30 +8,11 @@ import numpy as np
 
 from .core import PatternTag, hard_decision, llr_sum, saturate, wagner
 
-# GF(2^4) generated by the primitive polynomial x^4 + x + 1.
-_PRIMITIVE_POLY = 0b10011
-
 # Narrow-sense generator polynomials, coefficients ascending by degree.
 _G1 = np.array([1, 1, 0, 0, 1], dtype=np.uint8)              # x^4 + x + 1
 _G2 = np.array([1, 0, 0, 0, 1, 0, 1, 1, 1], dtype=np.uint8)  # x^8 + x^7 + x^6 + x^4 + 1
 
 T1_REPEATED_POSITION = 14
-
-
-def _build_tables():
-    exp = np.zeros(15, dtype=np.int64)
-    log = np.zeros(16, dtype=np.int64)
-    x = 1
-    for i in range(15):
-        exp[i] = x
-        log[x] = i
-        x <<= 1
-        if x & 0b10000:
-            x ^= _PRIMITIVE_POLY
-    return exp, log
-
-
-GF_EXP, GF_LOG = _build_tables()
 
 
 class BchVariant(Enum):
@@ -56,16 +37,6 @@ class BchVariant(Enum):
 VARIANT_BY_TAG = {PatternTag.BCH_T1: BchVariant.T1, PatternTag.BCH_T2: BchVariant.T2}
 
 
-def _gf_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    nz = (a != 0) & (b != 0)
-    prod = GF_EXP[(GF_LOG[a] + GF_LOG[b]) % 15]
-    return np.where(nz, prod, 0)
-
-
-def _gf_pow(a: np.ndarray, e: int) -> np.ndarray:
-    return np.where(a != 0, GF_EXP[(e * GF_LOG[a]) % 15], 0)
-
-
 def _systematic_codeword(message: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(15, k) systematic codeword, message in the high-degree positions."""
     nk = len(g) - 1
@@ -81,14 +52,10 @@ def _systematic_codeword(message: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _generator_matrix(variant: BchVariant) -> np.ndarray:
     """k x 16 systematic generator including the extension column."""
-    rows = []
-    for j in range(variant.k):
-        msg = np.zeros(variant.k, dtype=np.uint8)
-        msg[j] = 1
-        c15 = _systematic_codeword(msg, variant.generator)
-        ext = c15[T1_REPEATED_POSITION] if variant is BchVariant.T1 else c15.sum() % 2
-        rows.append(np.concatenate([c15, [ext]]))
-    return np.array(rows, dtype=np.uint8)
+    c15 = np.array([_systematic_codeword(unit, variant.generator)
+                    for unit in np.eye(variant.k, dtype=np.uint8)])
+    ext = c15[:, T1_REPEATED_POSITION] if variant is BchVariant.T1 else c15.sum(axis=1) % 2
+    return np.column_stack([c15, ext]).astype(np.uint8)
 
 
 _GENERATOR_MATRICES = {variant: _generator_matrix(variant) for variant in BchVariant}
@@ -107,62 +74,46 @@ def bch_encode(message: np.ndarray, variant: BchVariant) -> np.ndarray:
     return (message @ _GENERATOR_MATRICES[variant]) % 2
 
 
-# Syndrome powers alpha^(i*j) for syndrome index i = 1..4 and position j = 0..14.
-_SYNDROME_POW = GF_EXP[(np.arange(1, 5)[:, None] * np.arange(15)[None, :]) % 15]
+# Bit j of a table index is word position j.
+_INDEX_WEIGHTS = 1 << np.arange(15, dtype=np.intp)
+
+
+def _decoding_table(variant: BchVariant):
+    """Bounded-distance decoding tables (corrected, ok) over all 2^15 words: a word
+    within distance t of a codeword maps to it with ok True, any other to itself."""
+    # row i holds the bits of i, so its first 2^k rows cut to k columns are the messages
+    byte_pairs = np.arange(1 << 15, dtype="<u2").view(np.uint8).reshape(-1, 2)
+    words = np.unpackbits(byte_pairs, axis=1, bitorder="little")[:, :15]
+    codewords = bch_encode(words[:2 ** variant.k, :variant.k], variant)[:, :15] @ _INDEX_WEIGHTS
+    errors = np.flatnonzero(words.sum(axis=1) <= variant.t)
+    received = (codewords[:, None] ^ errors).ravel()
+    hits = np.bincount(received, minlength=1 << 15)
+    if hits.max() > 1:  # d_min is 3 for T1 and 5 for T2, so the spheres are disjoint
+        raise AssertionError(f"{variant.value}: decoding spheres overlap")
+    target = np.arange(1 << 15)
+    target[received] = np.repeat(codewords, errors.size)
+    return words[target], hits == 1
+
+
+_DECODING_TABLES = {variant: _decoding_table(variant) for variant in BchVariant}
 
 
 def bch_decode_hard(word: np.ndarray, variant: BchVariant):
-    """Correct up to t errors in 15-bit words (..., 15).
+    """Correct up to t errors in binary 15-bit words (..., 15) by table lookup.
 
-    Returns (corrected, ok). ok is False where the error locator has no valid
-    root set; such words are returned unchanged. Decoding failure is a value,
-    not a fault.
+    Returns (corrected, ok). A word within distance t of a codeword becomes
+    that codeword with ok True; any other word comes back unchanged with ok
+    False (never for T1: the (15,11) Hamming code is perfect). A failure is a
+    value, not a fault; a value other than 0 or 1 raises ValueError.
     """
-    word = np.asarray(word, dtype=np.uint8)
+    word = np.asarray(word)
     if word.shape[-1] != 15:
         raise ValueError(f"word length must be 15, got {word.shape[-1]}")
-    squeeze = word.ndim == 1
-    w = np.atleast_2d(word).reshape(-1, 15)
-    out = w.copy()
-    s1 = np.bitwise_xor.reduce(np.where(w == 1, _SYNDROME_POW[0], 0), axis=-1)
-    ok = np.ones(len(w), dtype=bool)
-    if variant is BchVariant.T1:
-        err = s1 != 0
-        rows = np.flatnonzero(err)
-        out[rows, GF_LOG[s1[rows]]] ^= 1
-    else:
-        s3 = np.bitwise_xor.reduce(np.where(w == 1, _SYNDROME_POW[2], 0), axis=-1)
-        s1_cubed = _gf_pow(s1, 3)
-        single = (s1 != 0) & (s3 == s1_cubed)
-        rows = np.flatnonzero(single)
-        out[rows, GF_LOG[s1[rows]]] ^= 1
-        double = (s1 != 0) & (s3 != s1_cubed)
-        if np.any(double):
-            rows = np.flatnonzero(double)
-            sigma1 = s1[rows]
-            # sigma2 = (S3 + S1^3) / S1
-            num = s3[rows] ^ s1_cubed[rows]
-            sigma2 = GF_EXP[(GF_LOG[num] - GF_LOG[sigma1]) % 15]
-            # Chien search: sigma(alpha^m) = 1 + sigma1*alpha^m + sigma2*alpha^(2m)
-            alpha_m = GF_EXP[np.arange(15)]
-            val = (1
-                   ^ _gf_mul(sigma1[:, None], alpha_m[None, :])
-                   ^ _gf_mul(sigma2[:, None], _gf_pow(alpha_m, 2)[None, :]))
-            roots = val == 0
-            valid = roots.sum(axis=-1) == 2
-            # root at alpha^m marks an error at position -m mod 15
-            positions = (15 - np.arange(15)) % 15
-            flips = np.zeros((len(rows), 15), dtype=np.uint8)
-            flips[:, positions] = roots
-            out[rows] ^= flips * valid[:, None].astype(np.uint8)
-            ok[rows] = valid
-        ok &= ~((s1 == 0) & (s3 != 0))
-        out[~ok] = w[~ok]
-    out = out.reshape(word.shape)
-    ok = ok.reshape(word.shape[:-1])
-    if squeeze:
-        return out, bool(ok)
-    return out, ok
+    if not ((word == 0) | (word == 1)).all():
+        raise ValueError("BCH words must hold only 0 and 1")
+    index = word.astype(np.uint8, copy=False) @ _INDEX_WEIGHTS
+    corrected, ok = _DECODING_TABLES[variant]
+    return np.take(corrected, index, axis=0), ok[index]
 
 
 def bch_node_decode(alpha: np.ndarray, variant: BchVariant,
@@ -170,26 +121,23 @@ def bch_node_decode(alpha: np.ndarray, variant: BchVariant,
     """Decode 16 node LLRs (..., 16) into a 16-bit word, always returning bits.
 
     T2: the Wagner decision on all 16 values (flip the minimum-magnitude
-    position when the overall parity fails), then Berlekamp-Massey-decode the
-    first 15 bits and re-extend. T1: fold position 14's two LLRs into one,
-    decode the 15 resulting hard bits, re-duplicate. On decoding failure the
-    hard word (corrected only by the parity or repetition step) is returned.
+    position when the overall parity fails), then table-decode the first 15
+    bits and re-extend them with their parity. A word beyond distance 2 comes
+    back unchanged, so the Wagner word itself is returned: it has even parity,
+    so re-extending gives back its own bit 15. T1: fold position 14's two LLRs
+    into one, table-decode the 15 resulting hard bits, re-duplicate.
     """
     alpha = np.asarray(alpha)
     if alpha.shape[-1] != 16:
         raise ValueError(f"expected 16 LLRs, got {alpha.shape[-1]}")
     if variant is BchVariant.T2:
-        bits = wagner(alpha)
-        corrected, ok = bch_decode_hard(bits[..., :15], variant)
+        corrected, _ = bch_decode_hard(wagner(alpha)[..., :15], variant)
         ext = corrected.sum(axis=-1) % 2
-        candidate = np.concatenate([corrected, ext[..., None].astype(np.uint8)], axis=-1)
-        return np.where(np.asarray(ok)[..., None], candidate, bits)
+        return np.concatenate([corrected, ext[..., None].astype(np.uint8)], axis=-1)
     folded = llr_sum(alpha[..., [T1_REPEATED_POSITION, 15]])
     if width is not None:
         folded = saturate(folded, width)
     llr15 = np.array(alpha[..., :15])
     llr15[..., T1_REPEATED_POSITION] = folded
-    bits15 = hard_decision(llr15)
-    corrected, ok = bch_decode_hard(bits15, variant)
-    out15 = np.where(np.asarray(ok)[..., None], corrected, bits15)
-    return np.concatenate([out15, out15[..., T1_REPEATED_POSITION, None]], axis=-1)
+    corrected, _ = bch_decode_hard(hard_decision(llr15), variant)
+    return np.concatenate([corrected, corrected[..., T1_REPEATED_POSITION, None]], axis=-1)

@@ -219,6 +219,9 @@ def _cmd_simulate(args) -> int:
     except InfeasibleConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return 1
 
     try:
         write_records_csv(records, f"{prefix}.csv")

@@ -104,6 +104,8 @@ def _reliability_scores(N: int, method: str, design_snr_db: float) -> np.ndarray
         raise ValueError(f"unknown construction method: {method!r}")
     if method == "pw":
         return _pw_weights(N)
+    if not np.isfinite(design_snr_db):
+        raise ValueError(f"GA design SNR must be finite, got {design_snr_db}")
     return _ga_means(N, design_snr_db)
 
 

@@ -48,6 +48,10 @@ class SimConfig:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be non-empty")
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db}")
+        if self.llr_scale is not None and not 0 < self.llr_scale < math.inf:
+            raise ValueError(f"llr_scale must be finite and positive, got {self.llr_scale}")
         if self.layout not in _LAYOUTS:
             raise ValueError(f"layout must be one of {_LAYOUTS}, got {self.layout!r}")
         if self.modulation not in _MODULATIONS:
@@ -134,8 +138,8 @@ def quantize_channel(llr, width: int, scale: float) -> QuantizedLLR:
     time, and each block is narrowed once; llr is left as it was. A scalar
     llr gives an np.int8 value.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     limit = saturation_limit(width)
     llr = np.asarray(llr)
     out = np.empty(llr.shape, dtype=np.int8)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from fastpolar.bch import (
+    VARIANT_BY_TAG,
     BchVariant,
     T1_REPEATED_POSITION,
     bch_decode_hard,
     bch_encode,
     bch_node_decode,
 )
-from fastpolar.core import hard_decision, wagner
+from fastpolar.core import PatternTag, hard_decision, wagner
+from fastpolar.oracle import enumerate_codebook
 
 
 def _all_messages(variant):
@@ -193,3 +195,34 @@ def test_node_decode_falls_back_to_hard_word():
 def test_encode_rejects_bad_message_length():
     with pytest.raises(ValueError):
         bch_encode(np.zeros(8, dtype=np.uint8), BchVariant.T2)
+
+
+@pytest.mark.parametrize("tag", [PatternTag.BCH_T1, PatternTag.BCH_T2])
+def test_decode_hard_is_bounded_distance_decoding_on_every_word(tag):
+    # brute force over the codebook: a word within distance t of a codeword
+    # decodes to it, any other word comes back unchanged with ok False
+    variant = VARIANT_BY_TAG[tag]
+    codebook = enumerate_codebook(tag, 16).codewords[:, :15]
+    codes = codebook.astype(np.int32) @ (1 << np.arange(15, dtype=np.int32))
+    popcount = ((np.arange(1 << 15)[:, None] >> np.arange(15)) & 1).sum(axis=1).astype(np.uint8)
+    block = 1024
+    for lo in range(0, 1 << 15, block):
+        index = np.arange(lo, lo + block, dtype=np.int32)
+        words = ((index[:, None] >> np.arange(15)) & 1).astype(np.uint8)
+        distance = popcount[index[:, None] ^ codes[None, :]]
+        nearest = distance.argmin(axis=1)
+        within = distance[np.arange(block), nearest] <= variant.t
+        corrected, ok = bch_decode_hard(words, variant)
+        assert np.array_equal(ok, within)
+        assert np.array_equal(corrected, np.where(within[:, None], codebook[nearest], words))
+
+
+@pytest.mark.parametrize("value", [2, -1, 255, 0.5])
+def test_decode_hard_rejects_non_binary_words(value):
+    word = np.zeros(15, dtype=np.asarray(value).dtype)
+    word[3] = value
+    for variant in BchVariant:
+        with pytest.raises(ValueError, match="0 and 1"):
+            bch_decode_hard(word, variant)
+        with pytest.raises(ValueError, match="0 and 1"):
+            bch_decode_hard(np.stack([np.zeros_like(word), word]), variant)

@@ -154,6 +154,15 @@ def test_simulate_infeasible_layout_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", [dict(llr_scale="nan", arithmetic="fixed"),
+                                 dict(design_snr_db="nan"), dict(snr_grid_db="6.0,inf")])
+def test_simulate_non_finite_number_exits_one(tmp_path, capsys, bad):
+    config = _write_config(tmp_path, **bad)
+    assert main(["simulate", str(config)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_console_script_entry_point():
     result = subprocess.run([sys.executable, "-m", "fastpolar.cli",
                              "construct", "--n", "64", "--k", "32"],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,16 @@ def test_reliability_sequence_validation():
         reliability_sequence(48, "ga")
     with pytest.raises(ValueError):
         reliability_sequence(64, "density_evolution")
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+def test_ga_rejects_a_non_finite_design_snr(snr):
+    for build in (reliability_sequence, construct_polar, construct_fast_polar):
+        args = (64,) if build is reliability_sequence else (64, 48)
+        with pytest.raises(ValueError, match="design SNR must be finite"):
+            build(*args, "ga", snr)
+    # PW ignores the design SNR
+    assert reliability_sequence(64, "pw", snr).design_snr_db is None
 
 
 def test_construct_polar_takes_most_reliable_positions():

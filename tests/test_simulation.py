@@ -73,8 +73,9 @@ def test_quantize_channel_examples():
     q = quantize_channel(np.array([0.4, -0.6, 100.0]), 4, 1.0)
     assert q.width == 4
     assert list(q.value) == [0, -1, 7]
-    with pytest.raises(ValueError):
-        quantize_channel(1.0, 5, 0.0)
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            quantize_channel(1.0, 5, scale)
 
 
 def _reference_transmit(codeword, snr_db, modulation, rng, zero_noise=False):
@@ -180,7 +181,9 @@ def test_sim_config_validation():
     assert cfg.snr_grid_db == (1.0, 2.0)
     for bad in (dict(snr_grid_db=[]), dict(layout="dense"), dict(modulation="fm"),
                 dict(arithmetic="posit"), dict(max_frames=0), dict(target_errors=0),
-                dict(chunk_frames=0), dict(q_ch=3, arithmetic="fixed")):
+                dict(chunk_frames=0), dict(q_ch=3, arithmetic="fixed"),
+                dict(snr_grid_db=[1, math.nan]), dict(snr_grid_db=[-math.inf]),
+                dict(llr_scale=math.nan), dict(llr_scale=math.inf), dict(llr_scale=0.0)):
         with pytest.raises(ValueError):
             SimConfig(**{**good, **bad})
 
