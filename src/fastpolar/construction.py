@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -25,24 +23,15 @@ class InfeasibleConstructionError(ValueError):
     """Raised when rate re-allocation cannot make every segment fast-decodable."""
 
 
-@dataclass(frozen=True)
-class ReliabilityOrder:
-    """Permutation of u-domain indices from least to most reliable."""
-
-    N: int
-    order: np.ndarray
-    method: str
-    design_snr_db: float | None
-
-    def __post_init__(self) -> None:
-        order = np.asarray(self.order, dtype=np.int64)
-        object.__setattr__(self, "order", order)
-        if sorted(order.tolist()) != list(range(self.N)):
-            raise ValueError("order must be a permutation of 0..N-1")
-
-
 def _ln_phi(x: np.ndarray) -> np.ndarray:
-    """log of the Gaussian-approximation phi function, numerically safe for large x."""
+    """log of the Gaussian-approximation phi function, numerically safe for large x.
+
+    This is the Chung-Richardson-Urbanke approximation, not phi itself: it
+    exceeds 0 (phi > 1) below x = 0.029 (+0.0132 at x = 0.01), and its two
+    branches differ by 0.025 at x = 10. Exact phi would move u-index 274 of
+    construct_polar(1024, 896) to 53 and so change the GA traversal that
+    REFERENCE_GA_HISTOGRAM pins: that reference belongs to this approximation.
+    """
     x = np.asarray(x, dtype=float)
     small = x < 10.0
     xs = np.where(small, x, 1.0)
@@ -111,18 +100,14 @@ def _reliability_scores(N: int, method: str, design_snr_db: float) -> np.ndarray
 
 def reliability_sequence(
     N: int, method: str = "ga", design_snr_db: float = DEFAULT_DESIGN_SNR_DB
-) -> ReliabilityOrder:
-    """Deterministic reliability permutation, least reliable first.
+) -> np.ndarray:
+    """Deterministic reliability permutation of 0..N-1 (int64), least reliable first.
 
     GA's design_snr_db is Es/N0 per BPSK dimension: the channel's mean LLR,
     the GA recursion's initial mean, is 4 * 10^(design_snr_db / 10). PW
     ignores design_snr_db. Reliability ties break toward the lower index.
     """
-    method = method.lower()
-    scores = _reliability_scores(N, method, design_snr_db)
-    order = np.argsort(scores, kind="stable")
-    snr = None if method == "pw" else design_snr_db
-    return ReliabilityOrder(N=N, order=order, method=method, design_snr_db=snr)
+    return np.argsort(_reliability_scores(N, method.lower(), design_snr_db), kind="stable")
 
 
 def construct_polar(
@@ -135,12 +120,12 @@ def construct_polar(
     """
     if not 0 <= K <= N:
         raise ValueError(f"K out of range: {K}")
-    rel = reliability_sequence(N, method, design_snr_db)
-    info = frozenset(int(i) for i in rel.order[N - K:])
+    order = reliability_sequence(N, method, design_snr_db)
+    info = frozenset(int(i) for i in order[N - K:])
     return CodeSpec(N=N, K=K, info_set=info)
 
 
-def _reallocate(N: int, K: int, scores: np.ndarray):
+def _reallocate(N: int, K: int, scores: np.ndarray) -> list[int]:
     """Rate re-allocation: adjust per-segment info counts until all are supported.
 
     Walks segments in order. While segment t has an unsupported count, demote
@@ -152,14 +137,13 @@ def _reallocate(N: int, K: int, scores: np.ndarray):
     reliable information bit of a later segment. Demoted bits become inactive
     so no bit moves twice. Ties break toward the lower index.
 
-    Returns (info mask, per-segment info counts, move list).
+    Returns the per-segment info counts.
     """
     n_seg = N // SEGMENT_SIZE
     order = np.argsort(scores, kind="stable")
     info = np.zeros(N, dtype=bool)
     info[order[N - K:]] = True
     active = ~info
-    moves: list[tuple[str, int, int]] = []
     for t in range(n_seg):
         seg = slice(SEGMENT_SIZE * t, SEGMENT_SIZE * (t + 1))
         while int(info[seg].sum()) not in FAST_TAG_BY_K:
@@ -175,7 +159,6 @@ def _reallocate(N: int, K: int, scores: np.ndarray):
                     info[i] = False
                     active[i] = False
                     info[j] = True
-                    moves.append(("push", int(i), int(j)))
                 else:
                     active[j] = False
             else:
@@ -192,9 +175,7 @@ def _reallocate(N: int, K: int, scores: np.ndarray):
                 info[p] = True
                 info[d] = False
                 active[d] = False
-                moves.append(("pull", int(d), int(p)))
-    counts = [int(info[SEGMENT_SIZE * t:SEGMENT_SIZE * (t + 1)].sum()) for t in range(n_seg)]
-    return info, counts, moves
+    return [int(info[SEGMENT_SIZE * t:SEGMENT_SIZE * (t + 1)].sum()) for t in range(n_seg)]
 
 
 def construct_fast_polar(
@@ -209,7 +190,7 @@ def construct_fast_polar(
         raise ValueError(f"K out of range: {K}")
     method = method.lower()
     scores = _reliability_scores(N, method, design_snr_db)
-    _, counts, _ = _reallocate(N, K, scores)
+    counts = _reallocate(N, K, scores)
     frozen = np.concatenate([canonical_frozen_mask(k) for k in counts])
     bch = {t for t, k in enumerate(counts) if FAST_TAG_BY_K[k] in BCH_TAGS}
     return CodeSpec(N=N, K=K, info_set=np.flatnonzero(~frozen).tolist(), bch_segments=bch)

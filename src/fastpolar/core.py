@@ -232,13 +232,17 @@ def magnitude(alpha):
     return mag if unsigned is None else mag.view(unsigned)
 
 
-def wagner(alpha: np.ndarray) -> np.ndarray:
+def wagner(alpha: np.ndarray, target=0) -> np.ndarray:
     """The one parity-check decision: hard decisions on the last axis, with the
-    lowest-index minimum-magnitude position flipped where the parity fails."""
+    lowest-index minimum-magnitude position flipped where the parity is not
+    target (0, 1, or an array of them that broadcasts against (..., 1)).
+    The flip runs on a 2-D view: put_along_axis builds one index grid per axis."""
     bits = hard_decision(alpha)
-    flip = np.zeros_like(bits)
-    np.put_along_axis(flip, np.argmin(magnitude(alpha), axis=-1)[..., None],
-                      np.bitwise_xor.reduce(bits, axis=-1)[..., None], axis=-1)
+    flip = np.zeros(bits.shape, dtype=bits.dtype)
+    parity = np.bitwise_xor.reduce(bits, axis=-1, keepdims=True) ^ target
+    np.put_along_axis(flip.reshape(-1, bits.shape[-1]),
+                      magnitude(alpha).argmin(axis=-1).reshape(-1, 1),
+                      parity.reshape(-1, 1), axis=-1)
     return bits ^ flip
 
 

@@ -99,74 +99,53 @@ def parallel_min_mask(amplitudes, magnitude_bits: int) -> np.ndarray:
     return ~eliminated
 
 
-def decode_rep(alpha, stride: int = 1) -> np.ndarray:
-    """Repetition decode: one hard decision on the LLR sum of each residue class
-    mod stride, so stride 1 decodes REP and stride 2 decodes REP-2."""
-    alpha = np.asarray(alpha)
-    out = np.empty(alpha.shape, dtype=np.uint8)
-    for r in range(stride):
-        total = llr_sum(alpha[..., r::stride])
-        out[..., r::stride] = np.asarray(hard_decision(total), dtype=np.uint8)[..., None]
+def _classes(alpha: np.ndarray, c: int) -> np.ndarray:
+    """(..., M) as a C-ordered (..., s, M // s) array for s = 1, 2, 4 at c = 1, 2, 3,
+    so row r is the residue class r mod s: an ("info", c) codeword repeats one
+    s-bit block, and a ("frozen", c) codeword's classes have equal parities,
+    even ones below c = 3. Every reduction then runs along a contiguous axis."""
+    interleaved = alpha.reshape(alpha.shape[:-1] + (-1, 1 << (c - 1)))
+    return np.ascontiguousarray(interleaved.swapaxes(-1, -2))
+
+
+def decode_info(alpha, c: int, width: int | None = None) -> np.ndarray:
+    """Decode an ("info", c) node: each residue class repeats one bit.
+
+    Rate-0 (c = 0) is all zeros. REP and REP-2 decide each class bit on its LLR
+    sum; PCR (c = 3) Wagner-decodes the four class sums. PCR is ML in float; in
+    fixed point each sum saturates, so it is ML only while
+    |alpha| <= saturation_limit(width) // (M // 4), where no sum can pass the rail.
+    """
+    out = np.zeros(alpha.shape, dtype=np.uint8)
+    if c:
+        sums = llr_sum(_classes(alpha, c))
+        if c == 3:
+            bits = wagner(sums if width is None else saturate(sums, width))
+        else:
+            bits = hard_decision(sums)
+        # position j takes the bit of its class, j mod s
+        out.reshape(sums.shape[:-1] + (-1, sums.shape[-1]))[...] = bits[..., None, :]
     return out
 
 
-def decode_spc(alpha, stride: int = 1) -> np.ndarray:
-    """Wagner decode of each residue class mod stride: flip the weakest position
-    (argmin's, the lowest index of tied minima) of a class whose parity fails.
-    Stride 1 decodes SPC, stride 2 SPC-2."""
-    alpha = np.asarray(alpha)
-    out = np.empty(alpha.shape, dtype=np.uint8)
-    for r in range(stride):
-        out[..., r::stride] = wagner(alpha[..., r::stride])
-    return out
+def decode_frozen(alpha, c: int, width: int | None = None) -> np.ndarray:
+    """Decode a ("frozen", c) node: one Wagner step along each residue class.
 
-
-def _group_view(alpha: np.ndarray) -> np.ndarray:
-    """Reshape (..., M) so the last axis indexes the four residue groups mod 4."""
-    M = alpha.shape[-1]
-    if M < 4 or M % 4:
-        raise ValueError("node size must be a positive multiple of 4")
-    return alpha.reshape(alpha.shape[:-1] + (M // 4, 4))
-
-
-def decode_rpc(alpha, width: int | None = None) -> np.ndarray:
-    """Decode an RPC node: equalize the four residue-group parities cheaply.
-
-    Per group, take the sign parity c_i and the weakest member; flip the
-    weakest member of every group on whichever parity side costs less.
+    Rate-1 (c = 0) is the hard decisions. SPC and SPC-2 bring each class to
+    even parity; RPC (c = 3) brings all four to one parity, the one whose
+    flips cost the smaller sum of class minima (even on a tie).
     """
-    alpha = np.asarray(alpha)
-    view = _group_view(alpha)
-    bits = np.atleast_2d(hard_decision(view))
-    c = np.bitwise_xor.reduce(bits, axis=-2)
-    mag = magnitude(view)
-    delta = mag.min(axis=-2)
-    weakest = mag.argmin(axis=-2)
-    cost_ones = llr_sum(np.where(c == 1, delta, 0))
-    cost_zeros = llr_sum(np.where(c == 0, delta, 0))
-    flip_ones = cost_ones <= cost_zeros
-    flip_group = np.where(np.asarray(flip_ones)[..., None], c == 1, c == 0)
-    flips = np.zeros(bits.shape, dtype=np.uint8)
-    np.put_along_axis(flips, np.asarray(weakest)[..., None, :],
-                      flip_group[..., None, :].astype(np.uint8), axis=-2)
-    return (bits ^ flips).reshape(alpha.shape)
-
-
-def decode_pcr(alpha, width: int | None = None) -> np.ndarray:
-    """Decode a PCR node: Wagner-decode the four group LLR sums, then broadcast.
-
-    Float decoding is ML. In fixed point each group sum saturates, so the
-    decode is ML only while |alpha| <= saturation_limit(width) // (M // 4),
-    where no sum of M // 4 values can pass the rail.
-    """
-    alpha = np.asarray(alpha)
-    view = _group_view(alpha)
-    delta = llr_sum(view, axis=-2)
-    if width is not None:
-        delta = saturate(delta, width)
-    group_bits = wagner(delta)
-    out = np.broadcast_to(group_bits[..., None, :], view.shape)
-    return np.ascontiguousarray(out).reshape(alpha.shape)
+    if not c:
+        return hard_decision(alpha)
+    classes = _classes(alpha, c)
+    target = 0
+    if c == 3:
+        # even parity flips the weakest position of each odd class, odd parity of each even one
+        odd = np.bitwise_xor.reduce(hard_decision(classes), axis=-1)
+        weakest = magnitude(classes).min(axis=-1)
+        to_even, to_odd = llr_sum(np.where(odd, weakest, 0)), llr_sum(np.where(odd, 0, weakest))
+        target = (to_even > to_odd)[..., None, None]
+    return wagner(classes, target).swapaxes(-1, -2).reshape(alpha.shape)
 
 
 @dataclass(frozen=True)
@@ -274,14 +253,8 @@ class DecodeResult:
 
 
 _NODE_DECODERS = {
-    PatternTag.RATE0: lambda alpha, width: np.zeros(alpha.shape, dtype=np.uint8),
-    PatternTag.RATE1: lambda alpha, width: np.atleast_1d(hard_decision(alpha)),
-    PatternTag.REP: lambda alpha, width: decode_rep(alpha),
-    PatternTag.SPC: lambda alpha, width: decode_spc(alpha),
-    PatternTag.SPC2: lambda alpha, width: decode_spc(alpha, stride=2),
-    PatternTag.REP2: lambda alpha, width: decode_rep(alpha, stride=2),
-    PatternTag.RPC: decode_rpc,
-    PatternTag.PCR: decode_pcr,
+    **{tag: partial(decode_info if kind == "info" else decode_frozen, c=c)
+       for tag, (kind, c) in NODE_SHAPES.items()},
     **{tag: partial(bch_node_decode, variant=variant) for tag, variant in VARIANT_BY_TAG.items()},
 }
 
@@ -302,15 +275,22 @@ def _entry_llrs(alpha: np.ndarray, width) -> np.ndarray:
 
 
 def decode_node(tag, alpha, width: int | None = None) -> np.ndarray:
-    """Decode one node of any fast pattern tag, float or width-bit fixed point,
-    under fast_sc_decode's entry rule (integers clamped into the width, floats
-    finite; anything else raises ValueError)."""
+    """Decode one node (..., M) of any fast pattern tag, float or width-bit fixed
+    point, under fast_sc_decode's entry rule (integers clamped into the width,
+    floats finite; anything else raises ValueError). M must exceed the tag's c
+    and be a multiple of its residue-class count."""
     tag = PatternTag(tag)
     alpha = np.asarray(alpha)
     if tag not in _NODE_DECODERS:
         raise ValueError(f"no node decoder for {tag}")
-    if tag in NODE_SHAPES and alpha.shape[-1] <= NODE_SHAPES[tag][1]:
-        raise ValueError(f"{tag.value} nodes need more than {NODE_SHAPES[tag][1]} values")
+    if not alpha.ndim:
+        raise ValueError(f"expected node LLRs of shape (..., M), got shape {alpha.shape}")
+    if tag in NODE_SHAPES:
+        c, M = NODE_SHAPES[tag][1], alpha.shape[-1]
+        classes = 1 << max(c - 1, 0)
+        if M <= c or M % classes:
+            raise ValueError(f"{tag.value} nodes need more than {c} values, "
+                             f"a multiple of {classes}, got {M}")
     return _NODE_DECODERS[tag](_entry_llrs(alpha, width), width=width)
 
 

@@ -64,6 +64,8 @@ class SimConfig:
             raise ValueError("target_errors must be at least 1")
         if self.chunk_frames < 1:
             raise ValueError("chunk_frames must be at least 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.arithmetic == "fixed":
             saturation_limit(self.q_ch)
             saturation_limit(self.q_int)

@@ -163,6 +163,13 @@ def test_simulate_non_finite_number_exits_one(tmp_path, capsys, bad):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_simulate_non_positive_workers_exits_one(tmp_path, capsys):
+    config = _write_config(tmp_path, workers="0")
+    assert main(["simulate", str(config)]) == 1
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_console_script_entry_point():
     result = subprocess.run([sys.executable, "-m", "fastpolar.cli",
                              "construct", "--n", "64", "--k", "32"],

@@ -222,8 +222,17 @@ def test_node_decoders_validate_size():
     for tag, (_, c) in NODE_SHAPES.items():
         with pytest.raises(ValueError):
             decode_node(tag, np.ones(c))
-    with pytest.raises(ValueError):
-        decode_node(PatternTag.RPC, np.ones(6))
+    for tag in PatternTag:
+        if tag is PatternTag.SLOW:
+            continue
+        for alpha, width in ((np.float64(1.0), None), (1.0, None), (np.int64(3), 5)):
+            with pytest.raises(ValueError, match=r"shape \(\.\.\., M\)"):
+                decode_node(tag, alpha, width=width)
+    # SPC-2 and REP-2 take whole residue classes mod 2, RPC and PCR mod 4
+    for tag, M in ((PatternTag.SPC2, 5), (PatternTag.REP2, 7), (PatternTag.RPC, 6),
+                   (PatternTag.PCR, 10)):
+        with pytest.raises(ValueError, match="a multiple of"):
+            decode_node(tag, np.ones(M))
     with pytest.raises(ValueError):
         decode_node(PatternTag.SLOW, np.ones(16))
 
@@ -601,6 +610,38 @@ def _fixed_point_digest(layout, N):
 @pytest.mark.parametrize("layout, N", sorted(FIXED_POINT_DIGESTS))
 def test_fixed_point_decode_digest_is_pinned(layout, N):
     assert _fixed_point_digest(layout, N) == FIXED_POINT_DIGESTS[layout, N]
+
+
+# SHA-256 of decode_node's output shape, dtype and bits over every NODE_SHAPES
+# tag and size (see _node_decoder_digest). Computed at 5273dc5, before the node
+# decoders were rebuilt on NODE_SHAPES, where each tag had its own function.
+NODE_DECODER_DIGEST = "a398f2ac35ac92655017165e59232cb5effb44639c48678302c1776442359893"
+
+
+def _node_decoder_digest():
+    rng = np.random.default_rng(211)
+    digest = hashlib.sha256()
+    for tag, (_, c) in NODE_SHAPES.items():
+        for M in (2 ** i for i in range(9)):
+            if M <= c:
+                continue
+            for batch in ((), (1,), (5,), (3, 4)):
+                size = batch + (M,)
+                # floats, then rint-tied floats: many zero sums and tied minima
+                cases = [(rng.normal(size=size) * 3, None),
+                         (np.rint(rng.normal(size=size) * 2), None)]
+                for width in range(4, 9):
+                    for high in (1, 2, 3, saturation_limit(width)):
+                        cases.append((rng.integers(-high, high + 1, size=size), width))
+                for alpha, width in cases:
+                    out = decode_node(tag, alpha, width=width)
+                    digest.update(f"{out.shape}{out.dtype.str}".encode())
+                    digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
+def test_node_decoder_digest_is_pinned():
+    assert _node_decoder_digest() == NODE_DECODER_DIGEST
 
 
 def test_plan_is_compiled_once_per_limits():

@@ -181,7 +181,8 @@ def test_sim_config_validation():
     assert cfg.snr_grid_db == (1.0, 2.0)
     for bad in (dict(snr_grid_db=[]), dict(layout="dense"), dict(modulation="fm"),
                 dict(arithmetic="posit"), dict(max_frames=0), dict(target_errors=0),
-                dict(chunk_frames=0), dict(q_ch=3, arithmetic="fixed"),
+                dict(chunk_frames=0), dict(workers=0), dict(workers=-3),
+                dict(q_ch=3, arithmetic="fixed"),
                 dict(snr_grid_db=[1, math.nan]), dict(snr_grid_db=[-math.inf]),
                 dict(llr_scale=math.nan), dict(llr_scale=math.inf), dict(llr_scale=0.0)):
         with pytest.raises(ValueError):
