@@ -13,6 +13,7 @@ _G1 = np.array([1, 1, 0, 0, 1], dtype=np.uint8)              # x^4 + x + 1
 _G2 = np.array([1, 0, 0, 0, 1, 0, 1, 1, 1], dtype=np.uint8)  # x^8 + x^7 + x^6 + x^4 + 1
 
 T1_REPEATED_POSITION = 14
+_T1_FOLD = np.array([T1_REPEATED_POSITION, 15])  # the two positions a T1 node folds
 
 
 class BchVariant(Enum):
@@ -104,16 +105,20 @@ def bch_decode_hard(word: np.ndarray, variant: BchVariant):
     Returns (corrected, ok). A word within distance t of a codeword becomes
     that codeword with ok True; any other word comes back unchanged with ok
     False (never for T1: the (15,11) Hamming code is perfect). A failure is a
-    value, not a fault; a value other than 0 or 1 raises ValueError.
+    value, not a fault. Bool words are binary by construction and go straight
+    to the lookup; in any other dtype a value other than 0 or 1 raises
+    ValueError.
     """
     word = np.asarray(word)
     if word.shape[-1] != 15:
         raise ValueError(f"word length must be 15, got {word.shape[-1]}")
-    if not ((word == 0) | (word == 1)).all():
-        raise ValueError("BCH words must hold only 0 and 1")
-    index = word.astype(np.uint8, copy=False) @ _INDEX_WEIGHTS
+    if word.dtype != bool:
+        if not ((word == 0) | (word == 1)).all():
+            raise ValueError("BCH words must hold only 0 and 1")
+        word = word.astype(np.uint8, copy=False)
+    index = word @ _INDEX_WEIGHTS
     corrected, ok = _DECODING_TABLES[variant]
-    return np.take(corrected, index, axis=0), ok[index]
+    return corrected.take(index, axis=0), ok[index]
 
 
 def bch_node_decode(alpha: np.ndarray, variant: BchVariant,
@@ -130,14 +135,16 @@ def bch_node_decode(alpha: np.ndarray, variant: BchVariant,
     alpha = np.asarray(alpha)
     if alpha.shape[-1] != 16:
         raise ValueError(f"expected 16 LLRs, got {alpha.shape[-1]}")
+    bits = np.empty(alpha.shape, dtype=np.uint8)
     if variant is BchVariant.T2:
-        corrected, _ = bch_decode_hard(wagner(alpha)[..., :15], variant)
-        ext = corrected.sum(axis=-1) % 2
-        return np.concatenate([corrected, ext[..., None].astype(np.uint8)], axis=-1)
-    folded = llr_sum(alpha[..., [T1_REPEATED_POSITION, 15]])
+        bits[..., :15], _ = bch_decode_hard(wagner(alpha)[..., :15].view(bool), variant)
+        bits[..., 15] = np.bitwise_xor.reduce(bits[..., :15], axis=-1)
+        return bits
+    folded = llr_sum(alpha[..., _T1_FOLD])
     if width is not None:
         folded = saturate(folded, width)
     llr15 = np.array(alpha[..., :15])
     llr15[..., T1_REPEATED_POSITION] = folded
-    corrected, _ = bch_decode_hard(hard_decision(llr15), variant)
-    return np.concatenate([corrected, corrected[..., T1_REPEATED_POSITION, None]], axis=-1)
+    bits[..., :15], _ = bch_decode_hard(hard_decision(llr15).view(bool), variant)
+    bits[..., 15] = bits[..., T1_REPEATED_POSITION]
+    return bits

@@ -177,11 +177,16 @@ def saturation_limit(width: int) -> int:
     return (1 << (width - 1)) - 1
 
 
+_LIMITS = {width: saturation_limit(width) for width in range(MIN_WIDTH, MAX_WIDTH + 1)}
+
+
 def saturate(values: np.ndarray, width: int) -> np.ndarray:
     """Clamp signed integer or float LLRs into the symmetric width-bit range,
-    into a new array. The clip ufunc skips np.clip's np.iinfo per Python-int
-    bound, which costs more than the clip on a batch-1 decode's arrays."""
-    limit = saturation_limit(width)
+    into a new array. The limit is read from a per-width table rather than
+    checked and computed per call, and the clip ufunc skips np.clip's np.iinfo
+    per Python-int bound, which costs more than the clip on a batch-1 decode's
+    arrays."""
+    limit = _LIMITS.get(width) or saturation_limit(width)
     return _clip(values, -limit, limit)
 
 
@@ -211,13 +216,13 @@ class QuantizedLLR:
 
 
 def hard_decision(alpha):
-    """Map LLR(s) to bit(s): 0 for alpha >= 0, else 1. NaN decides 0, unchecked:
-    the decode entry is the one gate for non-finite LLRs."""
+    """Map LLR(s) to bit(s): 0 for alpha >= 0, else 1, as the comparison's bool
+    array viewed as uint8 (no copy). NaN decides 0, unchecked: the decode entry
+    is the one gate for non-finite LLRs."""
     arr = np.asarray(alpha)
-    bits = (arr < 0).astype(np.uint8)
     if arr.ndim == 0:
-        return int(bits)
-    return bits
+        return int(arr < 0)
+    return (arr < 0).view(np.uint8)
 
 
 _UNSIGNED = {np.dtype(f"i{size}"): np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
@@ -235,22 +240,30 @@ def magnitude(alpha):
 def wagner(alpha: np.ndarray, target=0) -> np.ndarray:
     """The one parity-check decision: hard decisions on the last axis, with the
     lowest-index minimum-magnitude position flipped where the parity is not
-    target (0, 1, or an array of them that broadcasts against (..., 1)).
-    The flip runs on a 2-D view: put_along_axis builds one index grid per axis."""
+    target: 0, 1, or an array of them that broadcasts against (..., 1).
+
+    target None (RPC) gives the rows along axis -2 one common parity, the one
+    whose flips cost the smaller sum of row minima (even on a tie). The flip
+    runs on the flat C-ordered bits, where row r's minimum is at argmin + r * M.
+    """
     bits = hard_decision(alpha)
-    flip = np.zeros(bits.shape, dtype=bits.dtype)
-    parity = np.bitwise_xor.reduce(bits, axis=-1, keepdims=True) ^ target
-    np.put_along_axis(flip.reshape(-1, bits.shape[-1]),
-                      magnitude(alpha).argmin(axis=-1).reshape(-1, 1),
-                      parity.reshape(-1, 1), axis=-1)
-    return bits ^ flip
+    flat = bits.reshape(-1)
+    mag = magnitude(alpha)
+    weakest = mag.argmin(axis=-1).reshape(-1) + np.arange(0, flat.size, bits.shape[-1])
+    parity = np.bitwise_xor.reduce(bits, axis=-1, keepdims=True)
+    if target is None:
+        # even parity flips the weakest position of each odd row, odd parity of each even one
+        odd = parity[..., 0]
+        cost = mag.reshape(-1)[weakest].reshape(odd.shape)
+        to_even, to_odd = llr_sum(np.where(odd, cost, 0)), llr_sum(np.where(odd, 0, cost))
+        target = (to_even > to_odd)[..., None, None]
+    flat[weakest] ^= (parity != target).reshape(-1)
+    return flat.reshape(bits.shape)
 
 
 def llr_sum(alpha: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum LLRs along an axis; integer LLRs add in int64 so no partial sum wraps."""
-    if np.issubdtype(alpha.dtype, np.integer):
-        return alpha.sum(axis=axis, dtype=np.int64)
-    return alpha.sum(axis=axis)
+    return np.add.reduce(alpha, axis=axis, dtype=np.int64 if alpha.dtype.kind in "iu" else None)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,7 @@ from .core import (
     frozen_prefix,
     hard_decision,
     llr_sum,
-    magnitude,
     saturate,
-    saturation_limit,
     wagner,
 )
 from .encoder import info_gather, polar_transform
@@ -51,10 +49,18 @@ def g_bit(a, b, u, width=None, out=None):
     Integers add in at least 16 bits, so no sum wraps, with +-a applied
     branch-free: for s = -u (0 or -1), (a ^ s) - s is a or -a. A saturated
     result narrows back to the inputs' dtype. With out (returned), floats run
-    the same operations in out, and an int8 sum at widths 4 to 7, where no two
-    in-range values can wrap, is formed in out: its inputs must lie in the
-    width's range, as the decoder's do. NaN propagates, unchecked.
+    the same operations in out. An int8 out at widths 4 to 7 takes an early
+    path that adds in out itself, where no two in-range values can wrap: its
+    inputs must be integers in the width's range, as the decoder's are, and
+    the saturated sum is copied back into out. NaN propagates, unchecked.
     """
+    if out is not None and out.dtype == np.int8 and width is not None and width <= 7:
+        sign = np.negative(u, dtype=np.int8)
+        np.bitwise_xor(a, sign, out=out)
+        out -= sign
+        out += b
+        out[...] = saturate(out, width)
+        return out
     a, b, u = np.asarray(a), np.asarray(b), np.asarray(u)
     dtype = np.result_type(a, b)
     if dtype.kind != "i":
@@ -62,11 +68,8 @@ def g_bit(a, b, u, width=None, out=None):
         total = np.add(b, np.multiply(sign, a, out=out), out=out)
         total = total if width is None else saturate(total, width)
     else:
-        narrow = out is not None and out.dtype == dtype == np.int8 \
-            and width is not None and 2 * saturation_limit(width) <= 127
-        wide = dtype if narrow else np.promote_types(dtype, np.int16)
-        sign = np.negative(u, dtype=wide)
-        total = np.bitwise_xor(a, sign, dtype=wide, out=out if narrow else None)
+        sign = np.negative(u, dtype=np.promote_types(dtype, np.int16))
+        total = np.bitwise_xor(a, sign, dtype=sign.dtype)
         total -= sign
         total += b
         total = total if width is None else saturate(total, width).astype(dtype, copy=False)
@@ -137,15 +140,8 @@ def decode_frozen(alpha, c: int, width: int | None = None) -> np.ndarray:
     """
     if not c:
         return hard_decision(alpha)
-    classes = _classes(alpha, c)
-    target = 0
-    if c == 3:
-        # even parity flips the weakest position of each odd class, odd parity of each even one
-        odd = np.bitwise_xor.reduce(hard_decision(classes), axis=-1)
-        weakest = magnitude(classes).min(axis=-1)
-        to_even, to_odd = llr_sum(np.where(odd, weakest, 0)), llr_sum(np.where(odd, 0, weakest))
-        target = (to_even > to_odd)[..., None, None]
-    return wagner(classes, target).swapaxes(-1, -2).reshape(alpha.shape)
+    bits = wagner(_classes(alpha, c), None if c == 3 else 0)
+    return bits.swapaxes(-1, -2).reshape(alpha.shape)
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,7 @@ def _entry_llrs(alpha: np.ndarray, width) -> np.ndarray:
     """The one entry rule of both public decoders: with a width, integer LLRs
     clamped into its range and carried as int8; without, finite float64 LLRs."""
     if width is not None:
-        if not np.issubdtype(alpha.dtype, np.integer):
+        if alpha.dtype.kind not in "iu":
             raise ValueError("fixed-point decoding requires integer LLRs")
         if alpha.dtype.kind != "i":
             alpha = alpha.astype(np.int64)
@@ -294,14 +290,20 @@ def decode_node(tag, alpha, width: int | None = None) -> np.ndarray:
     return _NODE_DECODERS[tag](_entry_llrs(alpha, width), width=width)
 
 
-_Terminal = namedtuple("_Terminal", "tag decode")  # a plan's node tag and its resolved decoder
+# A plan's terminal node: its tag, its resolved decoder, the codeword span it
+# writes, and the (left, right) spans of the partial-sum XORs that follow it.
+_Terminal = namedtuple("_Terminal", "tag decode span xors")
 
 
-def _decode_terminal(node: _Terminal, alpha, width):
-    return node.decode(alpha, width=width)
+def _decode_terminal(node: _Terminal, alpha, width, bits) -> None:
+    """Decode a terminal node into its span of bits, then fold each finished
+    left half with its right half: bits[left] ^= bits[right], innermost first."""
+    bits[node.span] = node.decode(alpha, width=width)
+    for left, right in node.xors:
+        bits[left] ^= bits[right]
 
 
-_F, _G, _NODE, _COMBINE = range(4)
+_F, _G, _NODE = range(3)
 # Frames decoded together, and the block run_bler streams each chunk in: the
 # stage memory of this many float64 frames is 8 MB, and big batches keep a
 # small heap.
@@ -310,46 +312,48 @@ _BLOCK_FRAMES = 1024
 
 @dataclass(frozen=True)
 class DecodePlan:
-    """A pruned tree as flat post-order steps (kind, stage, x, y, z) for _run_plan;
+    """A pruned tree as flat steps (kind, stage, x, y, z) in decode order for _run_plan;
     gather indexes the info bits in u_hat once its bch_blocks are transformed back."""
 
     root: TreeNode
     stats: TraversalStats
     steps: tuple
     gather: np.ndarray
-    bch_blocks: list[int]
+    bch_blocks: np.ndarray
 
 
 def _compile(code: CodeSpec, limits: PatternLimits) -> DecodePlan:
     root = build_tree(code, limits)
     steps = []
 
-    def emit(node: TreeNode, stage: int) -> None:
+    def emit(node: TreeNode, stage: int, after: tuple = ()) -> None:
+        """Append node's steps; after holds the XORs that complete its
+        ancestors once its last terminal is decoded, innermost first."""
         start, half, end = node.start, node.size // 2, node.start + node.size
         if node.tag is not None:
-            terminal = _Terminal(node.tag, _NODE_DECODERS[node.tag])
-            steps.append((_NODE, stage, np.s_[..., start:end], None, terminal))
+            terminal = _Terminal(node.tag, _NODE_DECODERS[node.tag], np.s_[..., start:end], after)
+            steps.append((_NODE, stage, None, None, terminal))
             return
         left, right = np.s_[..., :half], np.s_[..., half:]
         bits_left = np.s_[..., start:start + half]
         steps.append((_F, stage, left, right, None))
         emit(node.children[0], stage - 1)
         steps.append((_G, stage, left, right, bits_left))
-        emit(node.children[1], stage - 1)
-        steps.append((_COMBINE, stage, bits_left, np.s_[..., start + half:end], None))
+        emit(node.children[1], stage - 1, ((bits_left, np.s_[..., start + half:end]), *after))
 
     emit(root, code.N.bit_length() - 1)
     return DecodePlan(root, tree_stats(root), tuple(steps), info_gather(code),
-                      sorted(code.bch_segments))
+                      np.array(sorted(code.bch_segments), dtype=np.intp))
 
 
 def decode_plan(code: CodeSpec, limits: PatternLimits | None = None) -> DecodePlan:
     """The layout's plan under limits, compiled on first use and kept on the layout."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     plans = vars(code).setdefault("_decode_plans", {})
-    if limits not in plans:
-        plans[limits] = _compile(code, limits)
-    return plans[limits]
+    plan = plans.get(limits)
+    if plan is None:
+        plan = plans[limits] = _compile(code, limits)
+    return plan
 
 
 def _run_plan(plan: DecodePlan, alpha: np.ndarray, bits: np.ndarray, width, memory) -> None:
@@ -364,10 +368,8 @@ def _run_plan(plan: DecodePlan, alpha: np.ndarray, bits: np.ndarray, width, memo
             f_check(llr[stage][x], llr[stage][y], out=llr[stage - 1])
         elif kind == _G:
             g_bit(llr[stage][x], llr[stage][y], bits[z], width, out=llr[stage - 1])
-        elif kind == _NODE:
-            bits[x] = _decode_terminal(z, llr[stage], width)
         else:
-            bits[x] ^= bits[y]
+            _decode_terminal(z, llr[stage], width, bits)
 
 
 def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
@@ -391,7 +393,7 @@ def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
         _run_plan(plan, frames[lo:lo + _BLOCK_FRAMES], frame_bits[lo:lo + _BLOCK_FRAMES],
                   width, memory)
     u_hat = polar_transform(bits)
-    if plan.bch_blocks:
+    if plan.bch_blocks.size:
         blocks = u_hat.reshape(u_hat.shape[:-1] + (-1, SEGMENT_SIZE))
         blocks[..., plan.bch_blocks, :] = polar_transform(blocks[..., plan.bch_blocks, :])
     # take, unlike u_hat[..., gather], returns C-ordered bits (7x faster at batch 4096)

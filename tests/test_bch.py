@@ -226,3 +226,24 @@ def test_decode_hard_rejects_non_binary_words(value):
             bch_decode_hard(word, variant)
         with pytest.raises(ValueError, match="0 and 1"):
             bch_decode_hard(np.stack([np.zeros_like(word), word]), variant)
+
+
+@pytest.mark.parametrize("variant", list(BchVariant))
+def test_decode_hard_bool_words_decode_like_uint8_words(variant):
+    # bool words skip the 0/1 scan; they must look up the same table rows
+    index = np.arange(1 << 15)
+    words = ((index[:, None] >> np.arange(15)) & 1).astype(np.uint8)
+    corrected, ok = bch_decode_hard(words, variant)
+    bool_corrected, bool_ok = bch_decode_hard(words.astype(bool), variant)
+    assert np.array_equal(bool_corrected, corrected) and bool_corrected.dtype == corrected.dtype
+    assert np.array_equal(bool_ok, ok)
+    # and a bool view of non-contiguous bits, as the node decoders pass
+    wide = np.zeros((1 << 15, 16), dtype=np.uint8)
+    wide[:, :15] = words
+    view_corrected, view_ok = bch_decode_hard(wide[:, :15].view(bool), variant)
+    assert np.array_equal(view_corrected, corrected) and np.array_equal(view_ok, ok)
+    for dtype in (np.uint8, np.int8, np.int64):
+        word = np.zeros(15, dtype=dtype)
+        word[3] = 2
+        with pytest.raises(ValueError, match="0 and 1"):
+            bch_decode_hard(word, variant)

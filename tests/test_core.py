@@ -11,6 +11,7 @@ from fastpolar.core import (
     hard_decision,
     saturate,
     saturation_limit,
+    wagner,
 )
 
 
@@ -173,6 +174,16 @@ def test_saturate_clamps_symmetrically():
     assert list(saturate(values, 5)) == [-15, -15, -8, 0, 8, 15, 15]
 
 
+def test_saturate_covers_every_width_and_rejects_others():
+    values = np.arange(-130, 131)
+    for width in range(4, 9):
+        limit = saturation_limit(width)
+        assert np.array_equal(saturate(values, width), np.clip(values, -limit, limit))
+    for width in (3, 9):
+        with pytest.raises(ValueError):
+            saturate(values, width)
+
+
 def test_quantized_llr_validation():
     q = QuantizedLLR(np.array([3, -7, 0]), 4)
     assert q.limit == 7
@@ -204,3 +215,60 @@ def test_traversal_stats_consistency():
     with pytest.raises(ValueError):
         TraversalStats(terminal_nodes=3, edges=4, f_ops=8,
                        histogram={PatternTag.RATE0: 1})
+
+
+def _wagner_by_put_along_axis(alpha, target=0):
+    """Reference Wagner decision: a zero flip mask written by put_along_axis."""
+    bits = (alpha < 0).astype(np.uint8)
+    mag = np.abs(alpha.astype(np.int64 if alpha.dtype.kind == "i" else np.float64))
+    parity = np.bitwise_xor.reduce(bits, axis=-1, keepdims=True) ^ np.asarray(target, np.uint8)
+    flip = np.zeros(parity.shape[:-1] + bits.shape[-1:], dtype=np.uint8)
+    np.put_along_axis(flip, mag.argmin(axis=-1)[..., None], parity, axis=-1)
+    return bits ^ flip
+
+
+def _rpc_target(alpha):
+    """RPC's common parity for the rows along axis -2, as a (..., 1, 1) array:
+    odd (True) when flipping the weakest position of each even row costs less."""
+    odd = np.bitwise_xor.reduce((alpha < 0).astype(np.uint8), axis=-1)
+    weakest = np.abs(alpha.astype(np.int64 if alpha.dtype.kind == "i" else np.float64)).min(axis=-1)
+    to_even = np.where(odd, weakest, 0).sum(axis=-1)
+    to_odd = np.where(odd, 0, weakest).sum(axis=-1)
+    return (to_even > to_odd)[..., None, None]
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 16), (1, 128), (1024, 16), (1024, 128), (3, 5, 32)])
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_wagner_matches_a_put_along_axis_reference(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    if dtype == np.int8:
+        # small magnitudes tie the minimum often; -128 has magnitude 128, not itself
+        cases = [rng.integers(-3, 4, size=shape), rng.integers(-128, 128, size=shape),
+                 np.where(rng.random(shape) < 0.9, -128, rng.integers(-2, 3, size=shape)),
+                 np.full(shape, -128)]
+    else:
+        cases = [np.rint(rng.normal(size=shape) * 2), rng.normal(size=shape) * 5,
+                 np.where(rng.random(shape) < 0.5, -0.0, 1.0)]
+    for alpha in (np.asarray(a, dtype=dtype) for a in cases):
+        before = alpha.copy()
+        targets = [0, 1]
+        if alpha.ndim >= 2:
+            # RPC's target: one parity per group of rows, broadcast as (..., 1, 1)
+            lead = shape[:-2] + (1, 1)
+            targets += [rng.integers(0, 2, size=lead).astype(bool), rng.integers(0, 2, size=lead),
+                        _rpc_target(alpha)]
+        for target in targets:
+            bits = wagner(alpha, target)
+            assert bits.dtype == np.uint8 and bits.shape == shape
+            assert np.array_equal(bits, _wagner_by_put_along_axis(alpha, target))
+        if alpha.ndim >= 2:
+            assert np.array_equal(wagner(alpha, None), wagner(alpha, _rpc_target(alpha)))
+        assert np.array_equal(alpha, before)
+
+
+def test_wagner_flips_on_strided_and_transposed_input():
+    rng = np.random.default_rng(7)
+    alpha = rng.integers(-5, 6, size=(12, 64)).astype(np.int8)
+    for view in (alpha[:, ::2], alpha.T, alpha[::3, 8:40]):
+        assert np.array_equal(wagner(view), _wagner_by_put_along_axis(view))
+        assert np.array_equal(wagner(view, 1), _wagner_by_put_along_axis(view, 1))

@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -654,6 +655,82 @@ def test_plan_is_compiled_once_per_limits():
     assert len(sc.steps) != len(default.steps)
     assert decode_plan(code, PatternLimits(spc2=0, rep2=0, rpc=0, pcr=0)) is sc
     assert fast_sc_decode(code, np.ones(1024), limits=SC_EQUIVALENT_LIMITS).stats == sc.stats
+
+
+def _post_order_steps(node, stage):
+    """The plan as a separate COMBINE step after each internal node's right
+    subtree: ("F" | "G", stage), ("NODE", stage, start, size) and
+    ("COMBINE", left start, left end, right start, right end)."""
+    if node.tag is not None:
+        return [("NODE", stage, node.start, node.size)]
+    half = node.size // 2
+    return [("F", stage), *_post_order_steps(node.children[0], stage - 1), ("G", stage),
+            *_post_order_steps(node.children[1], stage - 1),
+            ("COMBINE", node.start, node.start + half, node.start + half, node.start + node.size)]
+
+
+def _span(s):
+    return (s[-1].start, s[-1].stop)
+
+
+def test_plan_runs_three_step_kinds_with_the_partial_sums_in_the_node_step():
+    for code in (construct_fast_polar(1024, 896), construct_polar(1024, 896, "ga"),
+                 construct_fast_polar(64, 48, "ga")):
+        plan = decode_plan(code)
+        kinds = [step[0] for step in plan.steps]
+        internal = plan.stats.terminal_nodes - 1
+        assert kinds.count(decoder._F) == kinds.count(decoder._G) == internal
+        assert kinds.count(decoder._NODE) == plan.stats.terminal_nodes
+        assert len(kinds) == 2 * internal + plan.stats.terminal_nodes
+        # folding each run of COMBINE steps into the node step before it gives the plan back
+        folded = []
+        for step in _post_order_steps(plan.root, code.n):
+            if step[0] == "COMBINE":
+                assert folded[-1][0] == "NODE"
+                folded[-1][-1].append(step[1:])
+            else:
+                folded.append(step + ([],) if step[0] == "NODE" else step)
+        compiled = []
+        for kind, stage, x, y, z in plan.steps:
+            if kind == decoder._NODE:
+                start, end = _span(z.span)
+                xors = [(*_span(left), *_span(right)) for left, right in z.xors]
+                compiled.append(("NODE", stage, start, end - start, xors))
+            else:
+                compiled.append(("F" if kind == decoder._F else "G", stage))
+        assert compiled == folded
+        assert plan.bch_blocks.dtype == np.intp
+        assert plan.bch_blocks.tolist() == sorted(code.bch_segments)
+    fast = decode_plan(construct_fast_polar(1024, 896))
+    kinds = [step[0] for step in fast.steps]
+    assert (kinds.count(decoder._F), kinds.count(decoder._G), kinds.count(decoder._NODE)) \
+        == (22, 22, 23)
+    assert set(kinds) == {decoder._F, decoder._G, decoder._NODE}
+
+
+def _python_calls(fn, *args, **kwargs):
+    """Python-level function calls made while running fn once, counted with
+    sys.setprofile as the benchmark's python_calls_per_decode counts them."""
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profiler)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return count - 1
+
+
+def test_batch_one_fixed_point_decode_stays_within_its_call_budget():
+    # the per-call Python overhead is most of a batch-1 decode's time
+    code = construct_fast_polar(1024, 896)
+    frame = np.random.default_rng(89).integers(-15, 16, size=1024).astype(np.int8)
+    fast_sc_decode(code, frame, width=5)        # the plan compiles on first use
+    assert _python_calls(fast_sc_decode, code, frame, width=5) <= 300
 
 
 def test_equal_layouts_decode_identically_and_stay_picklable():
