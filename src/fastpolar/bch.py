@@ -66,13 +66,14 @@ def bch_encode(message: np.ndarray, variant: BchVariant) -> np.ndarray:
     """Encode message bits (..., k) into extended 16-bit codewords.
 
     T2 appends the overall parity of the 15 code bits; T1 duplicates the code
-    bit at T1_REPEATED_POSITION (14) into position 15.
+    bit at T1_REPEATED_POSITION (14) into position 15. Any nonzero message
+    value is a 1, as in encode.
     """
-    message = np.asarray(message, dtype=np.uint8)
+    message = np.asarray(message)
     if message.shape[-1] != variant.k:
         raise ValueError(f"{variant.value} message length must be {variant.k}, "
                          f"got {message.shape[-1]}")
-    return (message @ _GENERATOR_MATRICES[variant]) % 2
+    return ((message != 0).view(np.uint8) @ _GENERATOR_MATRICES[variant]) % 2
 
 
 # Bit j of a table index is word position j.

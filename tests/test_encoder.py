@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from fastpolar.bch import BchVariant, bch_encode
+from fastpolar import encoder
+from fastpolar.bch import _GENERATOR_MATRICES, VARIANT_BY_TAG, BchVariant, bch_encode
 from fastpolar.construction import construct_fast_polar, construct_polar
 from fastpolar.core import CodeSpec
-from fastpolar.encoder import bch_message_positions, encode, polar_transform
+from fastpolar.encoder import (
+    _transform_stages,
+    bch_message_positions,
+    encode,
+    info_gather,
+    polar_transform,
+)
 
 
 def test_transform_length_two():
@@ -49,14 +56,84 @@ def _stage_loop_transform(u):
     return x
 
 
-@pytest.mark.parametrize("batch", [(), (1,), (3, 5)])
+@pytest.mark.parametrize("batch", [(), (1,), (3, 5), (5,), (3, 4)])
 def test_packed_transform_matches_stage_loop(batch):
     rng = np.random.default_rng(6)
-    for n in range(1, 11):
+    for n in range(11):
         u = rng.integers(0, 2, size=batch + (2 ** n,), dtype=np.uint8)
+        expected = _stage_loop_transform(u)
+        assert np.array_equal(_transform_stages(u.copy()), expected), 2 ** n
         x = polar_transform(u)
-        assert x.dtype == np.uint8 and x.shape == u.shape
-        assert np.array_equal(x, _stage_loop_transform(u)), 2 ** n
+        assert x.dtype == np.uint8 and x.shape == u.shape and x.flags.c_contiguous
+        assert np.array_equal(x, expected), 2 ** n
+        # bool, every other bit of a twice-as-long row, and column-major input
+        assert np.array_equal(polar_transform(u.astype(bool)), expected), 2 ** n
+        wide = np.repeat(u, 2, axis=-1)
+        assert np.array_equal(polar_transform(wide[..., ::2]), expected), 2 ** n
+        assert np.array_equal(polar_transform(np.asfortranarray(u)), expected), 2 ** n
+        if len(batch) == 2:
+            swapped = u.swapaxes(0, 1)
+            assert np.array_equal(polar_transform(swapped), expected.swapaxes(0, 1)), 2 ** n
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128, 1024])
+def test_transform_with_blocks_re_transforms_those_blocks(N):
+    rng = np.random.default_rng(15)
+    u = rng.integers(0, 2, size=(6, N), dtype=np.uint8)
+    count = N // 16
+    for blocks in ([], [0], [count - 1], sorted(rng.choice(count, size=(count + 1) // 2,
+                                                             replace=False))):
+        expected = polar_transform(u).reshape(6, count, 16)
+        for b in blocks:
+            expected[:, b] = polar_transform(expected[:, b])
+        x = polar_transform(u, np.array(blocks, dtype=np.intp))
+        assert np.array_equal(x, expected.reshape(6, N)), blocks
+
+
+def test_transform_blocks_of_the_fast_layout_give_the_segment_codewords():
+    code = construct_fast_polar(1024, 896, "ga")
+    info = np.random.default_rng(16).integers(0, 2, size=(4, 896), dtype=np.uint8)
+    x = encode(code, info)
+    blocks = np.array(sorted(code.bch_segments), dtype=np.intp)
+    u = polar_transform(x, blocks)
+    assert np.array_equal(u.take(info_gather(code), axis=-1), info)
+    for t in code.bch_segments:
+        # a BCH segment's subtree codeword is the BCH codeword of its message
+        variant = VARIANT_BY_TAG[code.segments[t]]
+        word = u[:, 16 * t:16 * (t + 1)]
+        assert np.array_equal(bch_encode(word[:, bch_message_positions(variant)], variant), word)
+
+
+@pytest.mark.parametrize("variant", list(BchVariant))
+def test_bch_u_block_table_matches_the_generator_matrix(variant):
+    k = variant.k
+    messages = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+    codewords = messages @ _GENERATOR_MATRICES[variant] % 2
+    table = encoder._BCH_U_BLOCKS[variant]
+    assert table.shape == (2 ** k, 16) and table.dtype == np.uint8
+    assert np.array_equal(table, _transform_stages(codewords.copy()))
+    assert np.array_equal(polar_transform(table), codewords)
+
+
+def test_every_nonzero_value_reads_as_one():
+    rng = np.random.default_rng(17)
+    code = construct_fast_polar(1024, 896, "ga")
+    info = rng.integers(0, 2, size=(3, 896), dtype=np.uint8)
+    expected = encode(code, info)
+    for value in (2, 3, 255):
+        assert np.array_equal(encode(code, info * np.uint8(value)), expected), value
+    for dtype, value in ((np.int64, 256), (np.int64, -1), (np.int8, -128), (np.float64, 0.5),
+                         (np.float64, -2.0)):
+        assert np.array_equal(encode(code, info.astype(dtype) * dtype(value)), expected)
+        assert np.array_equal(polar_transform(info[:, :512].astype(dtype) * dtype(value)),
+                              polar_transform(info[:, :512])), (dtype, value)
+    assert np.array_equal(encode(code, info.astype(bool)), expected)
+    for variant in BchVariant:
+        messages = rng.integers(0, 2, size=(20, variant.k), dtype=np.uint8)
+        codewords = bch_encode(messages, variant)
+        assert np.array_equal(bch_encode(messages * 2, variant), codewords)
+        assert np.array_equal(bch_encode(messages.astype(np.int64) * -3, variant), codewords)
+        assert np.array_equal(bch_encode(messages * 0.25, variant), codewords)
 
 
 def test_transform_rejects_bad_length():

@@ -95,7 +95,7 @@ def _reference_quantize(llr, width, scale):
 
 
 @pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
-@pytest.mark.parametrize("snr_db", [-3.0, 0.0, 4.5, 7.2])
+@pytest.mark.parametrize("snr_db", [-3.0, 0.0, 4.5, 7.2, -30.0, 40.0, 100.0])
 @pytest.mark.parametrize("zero_noise", [False, True])
 def test_in_place_channel_matches_the_reference_chain(modulation, snr_db, zero_noise):
     bits_rng = np.random.default_rng(97)
