@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import CodeSpec, PatternTag, TraversalStats
@@ -45,12 +47,16 @@ def export_pruned_tree(layout: CodeSpec, limits: PatternLimits | None = None) ->
 
 
 def reduction_ratios(baseline: TraversalStats, other: TraversalStats) -> dict:
-    """Fractional savings of `other` relative to `baseline` per counter."""
-    return {
-        "nodes": 1.0 - other.terminal_nodes / baseline.terminal_nodes,
-        "edges": 1.0 - other.edges / baseline.edges,
-        "f_ops": 1.0 - other.f_ops / baseline.f_ops,
-    }
+    """Fractional savings of `other` relative to `baseline` per counter.
+
+    A counter the baseline does not have (0, as edges and f_ops are when the
+    baseline decodes as one node) gives nan: there is nothing to save from.
+    """
+    pairs = {"nodes": (other.terminal_nodes, baseline.terminal_nodes),
+             "edges": (other.edges, baseline.edges),
+             "f_ops": (other.f_ops, baseline.f_ops)}
+    return {name: 1.0 - value / base if base else math.nan
+            for name, (value, base) in pairs.items()}
 
 
 def stats_csv_row(layout: CodeSpec, stats: TraversalStats) -> str:

@@ -207,7 +207,8 @@ class QuantizedLLR:
         arr = np.asarray(self.value)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("quantized LLRs must be integers")
-        if np.any(arr > limit) or np.any(arr < -limit):
+        # two reductions rather than two comparisons that each build a bool array
+        if arr.size and (arr.min() < -limit or arr.max() > limit):
             raise ValueError(f"value outside [-{limit}, {limit}] for width {self.width}")
 
     @property

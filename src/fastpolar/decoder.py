@@ -305,10 +305,19 @@ def _decode_terminal(node: _Terminal, alpha, width, bits) -> None:
 
 
 _F, _G, _NODE = range(3)
-# Frames decoded together, and the block run_bler streams each chunk in: the
-# stage memory of this many float64 frames is 8 MB, and big batches keep a
-# small heap.
+# A decode block, which run_bler also streams each chunk in, holds at most
+# _BLOCK_FRAMES frames and at most _BLOCK_BYTES of LLRs: at N = 1024 that is
+# 1024 int8 frames or 256 float64 ones. Its stage memory, about as large as
+# its LLRs, then stays in a 2 MB L2 cache while the plan walks it, and big
+# batches keep a small heap.
 _BLOCK_FRAMES = 1024
+_BLOCK_BYTES = 2 << 20
+
+
+def _block_frames(N: int, dtype) -> int:
+    """Frames of N LLRs of dtype in one decode block: at most _BLOCK_FRAMES and
+    _BLOCK_BYTES of LLRs, but at least one frame."""
+    return max(1, min(_BLOCK_FRAMES, _BLOCK_BYTES // (N * np.dtype(dtype).itemsize)))
 
 
 @dataclass(frozen=True)
@@ -389,10 +398,10 @@ def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
     plan = decode_plan(code, limits)
     bits = np.empty(alpha.shape, dtype=np.uint8)
     frames, frame_bits = alpha.reshape(-1, code.N), bits.reshape(-1, code.N)
-    memory = np.empty(min(len(frames), _BLOCK_FRAMES) * (code.N - 1), dtype=alpha.dtype)
-    for lo in range(0, len(frames), _BLOCK_FRAMES):
-        _run_plan(plan, frames[lo:lo + _BLOCK_FRAMES], frame_bits[lo:lo + _BLOCK_FRAMES],
-                  width, memory)
+    block = _block_frames(code.N, alpha.dtype)
+    memory = np.empty(min(len(frames), block) * (code.N - 1), dtype=alpha.dtype)
+    for lo in range(0, len(frames), block):
+        _run_plan(plan, frames[lo:lo + block], frame_bits[lo:lo + block], width, memory)
     # take, unlike [..., gather] indexing, returns C-ordered bits (7x faster at batch 4096)
     info_bits = polar_transform(bits, plan.bch_blocks).take(plan.gather, axis=-1)
     return DecodeResult(info_bits=info_bits, codeword_estimate=bits, stats=plan.stats)

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .construction import DEFAULT_DESIGN_SNR_DB, construct_fast_polar, construct_polar
-from .core import QuantizedLLR, saturation_limit
-from .decoder import _BLOCK_FRAMES, fast_sc_decode
+from .core import QuantizedLLR, _clip, saturation_limit
+from .decoder import _block_frames, fast_sc_decode
 from .encoder import encode
 
 _MODULATIONS = ("bpsk", "qpsk")
@@ -20,9 +20,6 @@ _LAYOUTS = ("ga", "fast")
 _ARITHMETIC = ("float", "fixed")
 # LLRs quantize_channel rounds at a time: a 256 kB float64 block stays in cache.
 _QUANTIZE_BLOCK = 1 << 15
-# Frames the fixed-point channel carries at a time: their float64 LLRs (2 MB at
-# N = 1024) stay in cache from transmit to quantize_channel.
-_CHANNEL_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ def quantize_channel(llr, width: int, scale: float) -> QuantizedLLR:
         block = buffer[:flat.size - lo]
         np.multiply(flat[lo:lo + _QUANTIZE_BLOCK], scale, out=block)
         np.rint(block, out=block)
-        np.clip(block, -limit, limit, out=block)
+        _clip(block, -limit, limit, out=block)  # skips np.clip's per-call Python layer
         narrow[lo:lo + _QUANTIZE_BLOCK] = block
     return QuantizedLLR(out[()] if out.ndim == 0 else out, width)
 
@@ -168,10 +165,12 @@ def _build_layout(config: SimConfig):
 def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
                   chunk_idx: int, frames: int):
     """Simulate one deterministic chunk; returns (frames, frame_errors, bit_errors).
-    Encode, channel and decode run one decoder block at a time, and the
-    fixed-point channel runs _CHANNEL_FRAMES of the block at a time into its
-    int8 LLRs. The noise is drawn in frame order, so the LLRs are those of a
-    whole-chunk transmit."""
+    Encode, channel and decode run one decode block of the LLR dtype at a time
+    (decoder._block_frames: 256 float64 or 1024 int8 frames at N = 1024), and
+    the fixed-point channel runs a float64 block's worth of frames at a time
+    into the block's int8 LLRs, so no float64 array outgrows the byte budget.
+    The noise is drawn in frame order, so the LLRs are those of a whole-chunk
+    transmit."""
     seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
     rng = np.random.default_rng(seed)
     messages = rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8)
@@ -179,14 +178,16 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     scale = config.llr_scale
     if fixed and scale is None:
         scale = default_llr_scale(config.q_ch, snr_db, config.modulation)
+    channel_frames = _block_frames(code.N, np.float64)
+    block_frames = _block_frames(code.N, np.int8) if fixed else channel_frames
     errors = np.empty(frames, dtype=np.int64)  # bit errors per frame
-    for lo in range(0, frames, _BLOCK_FRAMES):
-        block = slice(lo, lo + _BLOCK_FRAMES)
+    for lo in range(0, frames, block_frames):
+        block = slice(lo, lo + block_frames)
         codewords = encode(code, messages[block])
         if fixed:
             llr = np.empty(codewords.shape, dtype=np.int8)
-            for start in range(0, len(llr), _CHANNEL_FRAMES):
-                part = slice(start, start + _CHANNEL_FRAMES)
+            for start in range(0, len(llr), channel_frames):
+                part = slice(start, start + channel_frames)
                 channel = transmit(codewords[part], snr_db, config.modulation, rng,
                                    zero_noise=config.zero_noise)
                 llr[part] = quantize_channel(channel, config.q_ch, scale).value

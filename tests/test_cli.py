@@ -69,6 +69,19 @@ def test_stats_prints_csv(tmp_path, capsys):
     assert "nodes=0.4250" in out
 
 
+def test_stats_against_a_one_node_baseline_prints_nan(tmp_path, capsys):
+    # a rate-1 (16, 16) code decodes as one node: no edges and no f-ops to save from
+    rate1, half = tmp_path / "rate1.json", tmp_path / "half.json"
+    main(["construct", "--n", "16", "--k", "16", "--out", str(rate1)])
+    main(["construct", "--n", "16", "--k", "8", "--out", str(half)])
+    capsys.readouterr()
+
+    assert main(["stats", str(half), "--baseline", str(rate1)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1].startswith("16,8,")
+    assert "edges=nan" in lines[2] and "f_ops=nan" in lines[2]
+
+
 def test_stats_missing_file_exits_three(capsys):
     assert main(["stats", "no_such_layout.json"]) == 3
     assert "error" in capsys.readouterr().err

@@ -613,6 +613,28 @@ def test_fixed_point_decode_digest_is_pinned(layout, N):
     assert _fixed_point_digest(layout, N) == FIXED_POINT_DIGESTS[layout, N]
 
 
+@pytest.mark.parametrize("layout", ["fast", "ga"])
+@pytest.mark.parametrize("dtype, width, block", [(np.float64, None, 3), (np.int8, 5, 7)])
+def test_decode_blocks_of_any_size_decode_like_one_block(monkeypatch, layout, dtype, width,
+                                                         block):
+    build = construct_fast_polar if layout == "fast" else construct_polar
+    code = build(128, 112)
+    rng = np.random.default_rng([71, code.N])
+    info = rng.integers(0, 2, size=(300, code.K), dtype=np.uint8)
+    llr = (1 - 2.0 * encode(code, info)) * 4 + rng.normal(size=(300, code.N)) * 3
+    llr = llr if width is None else np.rint(llr).astype(dtype)
+    assert decoder._block_frames(code.N, dtype) >= len(llr)
+    whole = fast_sc_decode(code, llr, width=width)
+    assert (whole.info_bits != info).any()
+    # a byte budget one byte short of block + 1 frames: 300 frames in blocks of 3 or 7
+    frame_bytes = code.N * np.dtype(dtype).itemsize
+    monkeypatch.setattr(decoder, "_BLOCK_BYTES", (block + 1) * frame_bytes - 1)
+    assert decoder._block_frames(code.N, dtype) == block
+    blocked = fast_sc_decode(code, llr.reshape(3, 100, code.N), width=width)
+    assert np.array_equal(blocked.info_bits.reshape(whole.info_bits.shape), whole.info_bits)
+    assert np.array_equal(blocked.codeword_estimate.reshape(llr.shape), whole.codeword_estimate)
+
+
 # SHA-256 of decode_node's output shape, dtype and bits over every NODE_SHAPES
 # tag and size (see _node_decoder_digest). Computed at 5273dc5, before the node
 # decoders were rebuilt on NODE_SHAPES, where each tag had its own function.

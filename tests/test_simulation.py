@@ -1,6 +1,7 @@
 import json
 import math
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,44 @@ def test_run_bler_chunks_spanning_decode_blocks_match_one_shot_chunks(monkeypatc
     assert records[0].frame_errors > 0 and records[1].frames == 5000
     monkeypatch.setattr(simulation, "_chunk_counts", _one_shot_chunk)
     assert run_bler(config) == records
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "fixed"])
+def test_run_bler_blocks_follow_the_byte_budget_and_match_one_shot_chunks(monkeypatch,
+                                                                          arithmetic):
+    # at N = 1024 the 2 MiB budget holds 256 float64 frames but 1024 int8 ones
+    float_block, int8_block = (decoder._block_frames(1024, t) for t in (np.float64, np.int8))
+    assert (float_block, int8_block) == (256, 1024)
+    config = SimConfig(N=1024, K=896, snr_grid_db=(6.0, 7.0), arithmetic=arithmetic,
+                       max_frames=2200, target_errors=10 ** 6, chunk_frames=1100, rng_seed=37)
+    batches, channel = [], []
+    decode, send = simulation.fast_sc_decode, simulation.transmit
+    monkeypatch.setattr(simulation, "fast_sc_decode",
+                        lambda code, llr, **kw: batches.append(len(llr)) or decode(code, llr, **kw))
+    monkeypatch.setattr(simulation, "transmit",
+                        lambda bits, *a, **kw: channel.append(len(bits)) or send(bits, *a, **kw))
+    records = run_bler(config)
+    # the float64 channel always runs a float block's worth of frames at a time
+    assert channel == ([256] * 4 + [76]) * 4
+    block = float_block if arithmetic == "float" else int8_block
+    assert batches == ([block] * (1100 // block) + [1100 % block]) * 4
+    assert records[0].frame_errors > 0 and records[1].frames == 2200
+    monkeypatch.setattr(simulation, "_chunk_counts", _one_shot_chunk)
+    assert run_bler(config) == records
+
+
+def test_a_float_decode_block_stays_within_the_byte_budget():
+    config = SimConfig(N=1024, K=896, snr_grid_db=(7.2,), chunk_frames=1024)
+    code = simulation._build_layout(config)
+    simulation._chunk_counts(code, config, 7.2, 0, 0, 1024)  # compiles the plan first
+    tracemalloc.start()
+    try:
+        simulation._chunk_counts(code, config, 7.2, 0, 1, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 1024-frame float64 block peaked at 23 MB: 8 MB of LLRs, 8 MB of stage memory
+    assert peak < 12e6
 
 
 def test_sim_config_validation():
