@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import CodeSpec, PatternTag, TraversalStats
-from .decoder import PatternLimits, TreeNode, decode_plan
+from .decoder import _F, PatternLimits, decode_plan
 
 STATS_CSV_HEADER = (
     "N,K,terminal_nodes,visited_nodes,edges,edges_directed,f_ops,"
@@ -20,14 +18,20 @@ def traversal_stats(layout: CodeSpec, limits: PatternLimits | None = None) -> Tr
     return decode_plan(layout, limits).stats
 
 
-def _node_doc(node: TreeNode) -> dict:
+def _node_doc(steps, start: int = 0) -> dict:
+    """The subtree at u-index start whose first step is the next one of steps,
+    an iterator over a plan's steps: F opens a branch, its left subtree
+    follows, then G moves to its right child; a node step is a leaf."""
+    kind, stage, _, _, terminal = next(steps)
     doc = {
-        "stage": int(np.log2(node.size)),
-        "span": [node.start, node.start + node.size],
-        "tag": node.tag.value if node.tag is not None else "branch",
+        "stage": stage,
+        "span": [start, start + (1 << stage)],
+        "tag": "branch" if kind == _F else terminal.tag.value,
     }
-    if node.children:
-        doc["children"] = [_node_doc(child) for child in node.children]
+    if kind == _F:
+        left = _node_doc(steps, start)
+        next(steps)
+        doc["children"] = [left, _node_doc(steps, start + (1 << stage - 1))]
     return doc
 
 
@@ -42,7 +46,7 @@ def export_pruned_tree(layout: CodeSpec, limits: PatternLimits | None = None) ->
         "N": layout.N,
         "K": layout.K,
         "stats": plan.stats.as_dict(),
-        "root": _node_doc(plan.root),
+        "root": _node_doc(iter(plan.steps)),
     }
 
 

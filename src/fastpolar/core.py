@@ -100,6 +100,9 @@ class CodeSpec:
             raise ValueError(f"K out of range: {self.K}")
         object.__setattr__(self, "info_set", frozenset(self.info_set))
         object.__setattr__(self, "bch_segments", frozenset(self.bch_segments))
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   for i in (*self.info_set, *self.bch_segments)):
+            raise ValueError("info_set and bch_segments entries must be integers, not bool")
         if len(self.info_set) != self.K:
             raise ValueError(f"info_set has {len(self.info_set)} entries, expected K={self.K}")
         if self.info_set and not all(0 <= i < self.N for i in self.info_set):

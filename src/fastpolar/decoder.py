@@ -1,4 +1,4 @@
-"""Fast SC decoding: each layout's pruned tree is compiled once into a flat plan.
+"""Fast SC decoding: each layout's pruned tree is built once as a flat plan of steps.
 
 All node decoders accept leading batch axes; LLRs are float64 in the
 reference path or saturating integers when a width is given.
@@ -179,16 +179,6 @@ DEFAULT_LIMITS = PatternLimits()
 SC_EQUIVALENT_LIMITS = PatternLimits(spc2=0, rep2=0, rpc=0, pcr=0)
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Node of the pruned decode tree; tag is None for internal branches."""
-
-    start: int
-    size: int
-    tag: PatternTag | None
-    children: tuple["TreeNode", ...] = ()
-
-
 def _match_span(frozen_before, start, size, limits, bch_segments):
     """Tag of the first NODE_SHAPES row the span matches; frozen_before[i] is
     the number of frozen u-bits below index i."""
@@ -206,38 +196,6 @@ def _match_span(frozen_before, start, size, limits, bch_segments):
                 and limits.allows(tag, size):
             return tag
     return None
-
-
-def build_tree(code: CodeSpec, limits: PatternLimits | None = None) -> TreeNode:
-    """Prune the SC tree for a layout: stop at every matched pattern node."""
-    limits = limits if limits is not None else DEFAULT_LIMITS
-    bch = {t: code.segments[t] for t in code.bch_segments}
-    frozen_before = [0, *np.cumsum(code.frozen_mask).tolist()]
-
-    def rec(start: int, size: int) -> TreeNode:
-        tag = _match_span(frozen_before, start, size, limits, bch)
-        if tag is not None:
-            return TreeNode(start, size, tag)
-        if size == 1:
-            raise ValueError(
-                f"leaf at index {start} matches no enabled pattern; "
-                "rate0/rate1 must be allowed at size 1"
-            )
-        half = size // 2
-        return TreeNode(start, size, None, (rec(start, half), rec(start + half, half)))
-
-    return rec(0, code.N)
-
-
-def tree_stats(root: TreeNode) -> TraversalStats:
-    """Traversal counters for a pruned tree (layout-determined, channel-free)."""
-    nodes = [root]
-    for node in nodes:      # appending while iterating visits every node once
-        nodes.extend(node.children)
-    tags = [node.tag for node in sorted(nodes, key=lambda node: node.start) if node.tag is not None]
-    return TraversalStats(terminal_nodes=len(tags), edges=len(nodes) - 1,
-                          f_ops=sum(node.size for node in nodes if node.tag is None),
-                          histogram={tag: tags.count(tag) for tag in tags})
 
 
 @dataclass(frozen=True)
@@ -322,38 +280,58 @@ def _block_frames(N: int, dtype) -> int:
 
 @dataclass(frozen=True)
 class DecodePlan:
-    """A pruned tree as flat steps (kind, stage, x, y, z) in decode order for _run_plan;
-    gather indexes the info bits in polar_transform(codeword, bch_blocks)."""
+    """A layout's pruned tree as flat steps (kind, stage, x, y, z) in decode order for
+    _run_plan, and the counters read from them; gather indexes the info bits in
+    polar_transform(codeword, bch_blocks)."""
 
-    root: TreeNode
     stats: TraversalStats
     steps: tuple
     gather: np.ndarray
     bch_blocks: np.ndarray
 
 
-def _compile(code: CodeSpec, limits: PatternLimits) -> DecodePlan:
-    root = build_tree(code, limits)
+def build_tree(code: CodeSpec, limits: PatternLimits | None = None) -> tuple:
+    """Prune the SC tree for a layout, stopping at every matched pattern node,
+    into its decode steps: F opens a branch at its stage, G moves to the
+    branch's right child, and a node step is a leaf."""
+    limits = limits if limits is not None else DEFAULT_LIMITS
+    bch = {t: code.segments[t] for t in code.bch_segments}
+    frozen_before = [0, *np.cumsum(code.frozen_mask).tolist()]
     steps = []
 
-    def emit(node: TreeNode, stage: int, after: tuple = ()) -> None:
-        """Append node's steps; after holds the XORs that complete its
-        ancestors once its last terminal is decoded, innermost first."""
-        start, half, end = node.start, node.size // 2, node.start + node.size
-        if node.tag is not None:
-            terminal = _Terminal(node.tag, _NODE_DECODERS[node.tag], np.s_[..., start:end], after)
+    def rec(start: int, stage: int, after: tuple = ()) -> None:
+        """Append the steps of the 2^stage-bit span at start; after holds the XORs
+        that complete its ancestors once its last terminal is decoded, innermost first."""
+        size = 1 << stage
+        tag = _match_span(frozen_before, start, size, limits, bch)
+        if tag is not None:
+            terminal = _Terminal(tag, _NODE_DECODERS[tag], np.s_[..., start:start + size], after)
             steps.append((_NODE, stage, None, None, terminal))
             return
+        if not stage:
+            raise ValueError(f"leaf at index {start} matches no enabled pattern; "
+                             "rate0/rate1 must be allowed at size 1")
+        half = size // 2
         left, right = np.s_[..., :half], np.s_[..., half:]
         bits_left = np.s_[..., start:start + half]
         steps.append((_F, stage, left, right, None))
-        emit(node.children[0], stage - 1)
+        rec(start, stage - 1)
         steps.append((_G, stage, left, right, bits_left))
-        emit(node.children[1], stage - 1, ((bits_left, np.s_[..., start + half:end]), *after))
+        rec(start + half, stage - 1, ((bits_left, np.s_[..., start + half:start + size]), *after))
 
-    emit(root, code.N.bit_length() - 1)
-    return DecodePlan(root, tree_stats(root), tuple(steps), info_gather(code),
-                      np.array(sorted(code.bch_segments), dtype=np.intp))
+    rec(0, code.n)
+    return tuple(steps)
+
+
+def tree_stats(steps: tuple) -> TraversalStats:
+    """Traversal counters of a plan's steps (layout-determined, channel-free):
+    each F step opens a branch of two edges and 2^stage f evaluations, and the
+    node steps are the terminals in decode order."""
+    tags = [z.tag for kind, _, _, _, z in steps if kind == _NODE]
+    f_stages = [stage for kind, stage, *_ in steps if kind == _F]
+    return TraversalStats(terminal_nodes=len(tags), edges=2 * len(f_stages),
+                          f_ops=sum(1 << stage for stage in f_stages),
+                          histogram={tag: tags.count(tag) for tag in tags})
 
 
 def decode_plan(code: CodeSpec, limits: PatternLimits | None = None) -> DecodePlan:
@@ -362,7 +340,9 @@ def decode_plan(code: CodeSpec, limits: PatternLimits | None = None) -> DecodePl
     plans = vars(code).setdefault("_decode_plans", {})
     plan = plans.get(limits)
     if plan is None:
-        plan = plans[limits] = _compile(code, limits)
+        steps = build_tree(code, limits)
+        plan = plans[limits] = DecodePlan(tree_stats(steps), steps, info_gather(code),
+                                          np.array(sorted(code.bch_segments), dtype=np.intp))
     return plan
 
 

@@ -111,11 +111,12 @@ def transmit(codeword, snr_db, modulation, rng, zero_noise: bool = False) -> np.
     plus the symbol 1 - 2c, over sigma^2 / 2. These are the operations of
     2 * ((1 - 2c) + noise * sqrt(sigma^2)) / sigma^2 in the same order, save
     that the doubling moves into the divisor; doubling and halving are exact,
-    so the LLRs are bit-identical to that expression.
+    so the LLRs are bit-identical to that expression. Any nonzero bit value
+    counts as a 1, as in encode.
     """
     bits = np.asarray(codeword)
     sigma2 = noise_variance(snr_db, modulation)
-    symbols = 1 - 2 * bits.astype(np.int8)
+    symbols = 1 - 2 * (bits != 0).view(np.int8)
     if zero_noise:
         llr = symbols.astype(np.float64)
     else:
@@ -138,7 +139,8 @@ def quantize_channel(llr, width: int, scale: float) -> QuantizedLLR:
 
     The products are rounded and clipped in place, a cache-sized block at a
     time, and each block is narrowed once; llr is left as it was. A scalar
-    llr gives an np.int8 value.
+    llr gives an np.int8 value. +-inf clips to the rail; a NaN, whose cast to
+    int8 is the one invalid operation here, raises ValueError.
     """
     if not 0 < scale < math.inf:
         raise ValueError(f"scale must be finite and positive, got {scale}")
@@ -147,12 +149,16 @@ def quantize_channel(llr, width: int, scale: float) -> QuantizedLLR:
     out = np.empty(llr.shape, dtype=np.int8)
     flat, narrow = llr.reshape(-1), out.reshape(-1)
     buffer = np.empty(min(flat.size, _QUANTIZE_BLOCK))
-    for lo in range(0, flat.size, _QUANTIZE_BLOCK):
-        block = buffer[:flat.size - lo]
-        np.multiply(flat[lo:lo + _QUANTIZE_BLOCK], scale, out=block)
-        np.rint(block, out=block)
-        _clip(block, -limit, limit, out=block)  # skips np.clip's per-call Python layer
-        narrow[lo:lo + _QUANTIZE_BLOCK] = block
+    with np.errstate(invalid="raise"):
+        for lo in range(0, flat.size, _QUANTIZE_BLOCK):
+            block = buffer[:flat.size - lo]
+            np.multiply(flat[lo:lo + _QUANTIZE_BLOCK], scale, out=block)
+            np.rint(block, out=block)
+            _clip(block, -limit, limit, out=block)  # skips np.clip's per-call Python layer
+            try:
+                narrow[lo:lo + _QUANTIZE_BLOCK] = block
+            except FloatingPointError:
+                raise ValueError("LLRs must not be NaN") from None
     return QuantizedLLR(out[()] if out.ndim == 0 else out, width)
 
 

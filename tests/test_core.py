@@ -91,6 +91,16 @@ def test_code_spec_validation():
         CodeSpec(N=16, K=3, info_set=frozenset({1, 2, 3, 4}))
     with pytest.raises(ValueError):
         CodeSpec(N=16, K=1, info_set=frozenset({16}))
+    for info_set, bch in (({2.5}, ()), ({True, 3}, ()), ({np.bool_(True), 3}, ()),
+                          ({1.0}, ()), ({15}, {0.0}), ({15}, {False})):
+        with pytest.raises(ValueError, match="integers"):
+            CodeSpec(N=16, K=len(info_set), info_set=info_set, bch_segments=bch)
+    numpy_ints = CodeSpec(N=16, K=2, info_set={np.int64(3), np.uint8(15)})
+    assert numpy_ints == CodeSpec(N=16, K=2, info_set={3, 15})
+    assert numpy_ints.info_positions.tolist() == [3, 15]
+    info = np.flatnonzero(~canonical_frozen_mask(11)).astype(np.int32)
+    assert CodeSpec(N=16, K=11, info_set=info, bch_segments=[np.intp(0)]).segments \
+        == (PatternTag.BCH_T1,)
 
 
 def test_canonical_frozen_mask_places_info_high():

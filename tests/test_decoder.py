@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 import pickle
 import sys
 
@@ -6,8 +8,10 @@ import numpy as np
 import pytest
 
 import fastpolar.decoder as decoder
+from fastpolar.analysis import export_pruned_tree, traversal_stats
 from fastpolar.construction import construct_fast_polar, construct_polar
 from fastpolar.core import (
+    FAST_TAG_BY_K,
     NODE_SHAPES,
     SEGMENT_SIZE,
     CodeSpec,
@@ -396,13 +400,16 @@ def test_terminal_nodes_match_their_table_shape():
                 _check_terminal_shapes(build_tree(spec, limits), spec.frozen_mask)
 
 
-def _check_terminal_shapes(node, mask):
-    if node.tag is None:
-        for child in node.children:
-            _check_terminal_shapes(child, mask)
-        return
-    span = mask[node.start:node.start + node.size]
-    assert np.array_equal(span, node_frozen_mask(node.tag, node.size)), (node, span)
+def _check_terminal_shapes(steps, mask):
+    # the node steps' spans tile the layout in decode order, each with its tag's shape
+    end = 0
+    for kind, stage, _, _, node in steps:
+        if kind == decoder._NODE:
+            span = node.span[-1]
+            assert (span.start, span.stop - span.start) == (end, 1 << stage), node
+            assert np.array_equal(mask[span], node_frozen_mask(node.tag, 1 << stage)), node
+            end = span.stop
+    assert end == len(mask)
 
 
 def test_table_rows_classify_as_their_tag():
@@ -679,16 +686,27 @@ def test_plan_is_compiled_once_per_limits():
     assert fast_sc_decode(code, np.ones(1024), limits=SC_EQUIVALENT_LIMITS).stats == sc.stats
 
 
-def _post_order_steps(node, stage):
-    """The plan as a separate COMBINE step after each internal node's right
-    subtree: ("F" | "G", stage), ("NODE", stage, start, size) and
-    ("COMBINE", left start, left end, right start, right end)."""
-    if node.tag is not None:
-        return [("NODE", stage, node.start, node.size)]
-    half = node.size // 2
-    return [("F", stage), *_post_order_steps(node.children[0], stage - 1), ("G", stage),
-            *_post_order_steps(node.children[1], stage - 1),
-            ("COMBINE", node.start, node.start + half, node.start + half, node.start + node.size)]
+def _reference_steps(code, limits, start, stage):
+    """The pruned tree by its definition, with a separate COMBINE step after
+    each internal node's right subtree: ("F" | "G", stage), ("NODE", stage,
+    start, size, tag) and ("COMBINE", left start, left end, right start, right
+    end). A span holding the start of a BCH segment is a node when it is that
+    segment; any other span is a node of the first NODE_SHAPES tag whose
+    frozen mask it has and whose size limits allow."""
+    size = 1 << stage
+    bch = [t for t in code.bch_segments if start <= t * SEGMENT_SIZE < start + size]
+    if bch:
+        tag = code.segments[bch[0]] if size == SEGMENT_SIZE else None
+    else:
+        mask = code.frozen_mask[start:start + size]
+        tag = next((tag for tag in NODE_SHAPES if limits.allows(tag, size)
+                    and np.array_equal(mask, node_frozen_mask(tag, size))), None)
+    if tag is not None:
+        return [("NODE", stage, start, size, tag)]
+    half = size // 2
+    return [("F", stage), *_reference_steps(code, limits, start, stage - 1), ("G", stage),
+            *_reference_steps(code, limits, start + half, stage - 1),
+            ("COMBINE", start, start + half, start + half, start + size)]
 
 
 def _span(s):
@@ -696,9 +714,10 @@ def _span(s):
 
 
 def test_plan_runs_three_step_kinds_with_the_partial_sums_in_the_node_step():
-    for code in (construct_fast_polar(1024, 896), construct_polar(1024, 896, "ga"),
-                 construct_fast_polar(64, 48, "ga")):
-        plan = decode_plan(code)
+    for code, limits in itertools.product(
+            (construct_fast_polar(1024, 896), construct_polar(1024, 896, "ga"),
+             construct_fast_polar(64, 48, "ga")), (DEFAULT_LIMITS, SC_EQUIVALENT_LIMITS)):
+        plan = decode_plan(code, limits)
         kinds = [step[0] for step in plan.steps]
         internal = plan.stats.terminal_nodes - 1
         assert kinds.count(decoder._F) == kinds.count(decoder._G) == internal
@@ -706,7 +725,7 @@ def test_plan_runs_three_step_kinds_with_the_partial_sums_in_the_node_step():
         assert len(kinds) == 2 * internal + plan.stats.terminal_nodes
         # folding each run of COMBINE steps into the node step before it gives the plan back
         folded = []
-        for step in _post_order_steps(plan.root, code.n):
+        for step in _reference_steps(code, limits, 0, code.n):
             if step[0] == "COMBINE":
                 assert folded[-1][0] == "NODE"
                 folded[-1][-1].append(step[1:])
@@ -717,7 +736,7 @@ def test_plan_runs_three_step_kinds_with_the_partial_sums_in_the_node_step():
             if kind == decoder._NODE:
                 start, end = _span(z.span)
                 xors = [(*_span(left), *_span(right)) for left, right in z.xors]
-                compiled.append(("NODE", stage, start, end - start, xors))
+                compiled.append(("NODE", stage, start, end - start, z.tag, xors))
             else:
                 compiled.append(("F" if kind == decoder._F else "G", stage))
         assert compiled == folded
@@ -728,6 +747,40 @@ def test_plan_runs_three_step_kinds_with_the_partial_sums_in_the_node_step():
     assert (kinds.count(decoder._F), kinds.count(decoder._G), kinds.count(decoder._NODE)) \
         == (22, 22, 23)
     assert set(kinds) == {decoder._F, decoder._G, decoder._NODE}
+
+
+def _pinned_tree_layouts():
+    """The fast and GA (1024, 896) layouts, three random layouts at every N and
+    one random all-fast layout with BCH segments at every N from 16 up."""
+    rng = np.random.default_rng(20261019)
+    layouts = [construct_fast_polar(1024, 896), construct_polar(1024, 896, "ga")]
+    for n in range(1, 11):
+        for _ in range(3):
+            K = int(rng.integers(0, 2 ** n + 1))
+            layouts.append(CodeSpec(N=2 ** n, K=K, info_set=rng.permutation(2 ** n)[:K].tolist()))
+    for n in range(4, 11):
+        ks = rng.choice(sorted(FAST_TAG_BY_K), size=2 ** n // SEGMENT_SIZE).tolist()
+        info = [t * SEGMENT_SIZE + j for t, k in enumerate(ks)
+                for j in range(SEGMENT_SIZE - k, SEGMENT_SIZE)]
+        layouts.append(CodeSpec(N=2 ** n, K=len(info), info_set=info,
+                                bch_segments={t for t, k in enumerate(ks) if k in (7, 11)}))
+    return layouts
+
+
+# SHA-256 of the exported trees and traversal counters of _pinned_tree_layouts
+# under the three limits below, computed when the plan was still compiled
+# from a separate node tree.
+PRUNED_TREE_DIGEST = "3802afcd270a453a8c3459a42e64f17ab7576838ecbbaabc691d1ddf27a9c84f"
+
+
+def test_pruned_tree_export_and_counters_are_pinned():
+    digest = hashlib.sha256()
+    custom = PatternLimits(rate0=8, rate1=4, rep=8, spc=64, spc2=16, rep2=0, rpc=32, pcr=8)
+    for layout in _pinned_tree_layouts():
+        for limits in (DEFAULT_LIMITS, SC_EQUIVALENT_LIMITS, custom):
+            digest.update(json.dumps(export_pruned_tree(layout, limits)).encode())
+            digest.update(json.dumps(traversal_stats(layout, limits).as_dict()).encode())
+    assert digest.hexdigest() == PRUNED_TREE_DIGEST
 
 
 def _python_calls(fn, *args, **kwargs):

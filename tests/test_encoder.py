@@ -12,6 +12,7 @@ from fastpolar.encoder import (
     info_gather,
     polar_transform,
 )
+from fastpolar.simulation import transmit
 
 
 def test_transform_length_two():
@@ -120,14 +121,22 @@ def test_every_nonzero_value_reads_as_one():
     code = construct_fast_polar(1024, 896, "ga")
     info = rng.integers(0, 2, size=(3, 896), dtype=np.uint8)
     expected = encode(code, info)
+
+    def symbols(bits):
+        return transmit(bits, 0.0, "qpsk", None, zero_noise=True)
+
     for value in (2, 3, 255):
         assert np.array_equal(encode(code, info * np.uint8(value)), expected), value
+        assert np.array_equal(symbols(info * np.uint8(value)), symbols(info)), value
     for dtype, value in ((np.int64, 256), (np.int64, -1), (np.int8, -128), (np.float64, 0.5),
                          (np.float64, -2.0)):
         assert np.array_equal(encode(code, info.astype(dtype) * dtype(value)), expected)
+        assert np.array_equal(symbols(info.astype(dtype) * dtype(value)), symbols(info))
         assert np.array_equal(polar_transform(info[:, :512].astype(dtype) * dtype(value)),
                               polar_transform(info[:, :512])), (dtype, value)
     assert np.array_equal(encode(code, info.astype(bool)), expected)
+    assert np.array_equal(symbols(info.astype(bool)), symbols(info))
+    assert symbols(np.uint8(2)) == -2.0
     for variant in BchVariant:
         messages = rng.integers(0, 2, size=(20, variant.k), dtype=np.uint8)
         codewords = bch_encode(messages, variant)

@@ -79,6 +79,17 @@ def test_quantize_channel_examples():
             quantize_channel(1.0, 5, scale)
 
 
+def test_quantize_channel_rejects_nan_and_clips_inf_to_the_rail():
+    llr = np.array([[0.4, math.inf, -math.inf, -2.6]] * 3)
+    assert quantize_channel(llr, 5, 1.0).value.tolist() == [[0, 15, -15, -3]] * 3
+    assert quantize_channel(-math.inf, 6, 0.5).value == -31
+    for bad in (math.nan, np.array([0.4, math.nan]), np.full((2, 1 << 16), 1.0)):
+        if np.ndim(bad) == 2:
+            bad[1, -1] = math.nan   # in the second quantizer block
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_channel(bad, 5, 2.0)
+
+
 def _reference_transmit(codeword, snr_db, modulation, rng, zero_noise=False):
     """The channel written out as one expression, a new array per step."""
     c = np.asarray(codeword)
