@@ -1,8 +1,4 @@
-"""Command line front-end: construct layouts, inspect traversal stats, run BLER sweeps.
-
-Exit codes: 0 success, 1 usage or configuration error, 2 infeasible
-construction, 3 file I/O failure.
-"""
+"""Command line front-end: construct layouts, inspect traversal stats, run BLER sweeps."""
 
 from __future__ import annotations
 
@@ -10,9 +6,12 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 from .analysis import STATS_CSV_HEADER, reduction_ratios, stats_csv_row, traversal_stats
 from .construction import (
+    _METHODS,
     DEFAULT_DESIGN_SNR_DB,
     InfeasibleConstructionError,
     construct_fast_polar,
@@ -49,7 +48,7 @@ def _build_parser() -> _Parser:
     con = sub.add_parser("construct", help="build a layout and print its summary")
     con.add_argument("--n", type=int, required=True, help="block length (power of two)")
     con.add_argument("--k", type=int, required=True, help="information bits")
-    con.add_argument("--method", choices=("ga", "pw"), default="ga")
+    con.add_argument("--method", choices=_METHODS, default="ga")
     con.add_argument("--design-snr", type=float, default=DEFAULT_DESIGN_SNR_DB,
                      help="design SNR in dB (ga method only)")
     con.add_argument("--fast", action="store_true",
@@ -69,18 +68,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        if args.fast:
-            layout = construct_fast_polar(args.n, args.k, args.method, args.design_snr)
-        else:
-            layout = construct_polar(args.n, args.k, args.method, args.design_snr)
-    except InfeasibleConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    build = construct_fast_polar if args.fast else construct_polar
+    layout = build(args.n, args.k, args.method, args.design_snr)
     print(f"N={args.n} K={args.k} method={args.method}")
     if args.fast:
         histogram = Counter(tag.value for tag in layout.segments)
@@ -90,13 +79,9 @@ def _cmd_construct(args) -> int:
     if args.out:
         doc = layout_to_dict(layout, method=args.method,
                              design_snr_db=args.design_snr if args.method == "ga" else None)
-        try:
-            with open(args.out, "w") as handle:
-                json.dump(doc, handle, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 3
+        with open(args.out, "w") as handle:
+            json.dump(doc, handle, indent=2)
+            handle.write("\n")
     return 0
 
 
@@ -110,13 +95,8 @@ def _load_layout(path):
 
 
 def _cmd_stats(args) -> int:
-    try:
-        layout = _load_layout(args.layout)
-        baseline = _load_layout(args.baseline) if args.baseline else None
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
+    layout = _load_layout(args.layout)
+    baseline = _load_layout(args.baseline) if args.baseline else None
     stats = traversal_stats(layout)
     print(STATS_CSV_HEADER)
     print(stats_csv_row(layout, stats))
@@ -127,28 +107,9 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-_CONFIG_SCHEMA = {
-    "n": int,
-    "k": int,
-    "layout": str,
-    "method": str,
-    "design_snr_db": float,
-    "modulation": str,
-    "arithmetic": str,
-    "q_ch": int,
-    "q_int": int,
-    "llr_scale": float,
-    "max_frames": int,
-    "target_errors": int,
-    "chunk_frames": int,
-    "rng_seed": int,
-    "workers": int,
-    "zero_noise": bool,
-    "snr_grid_db": tuple,
-    "out_prefix": str,
-}
-
-_REQUIRED_CONFIG_KEYS = ("n", "k", "snr_grid_db")
+# Config keys are SimConfig's field names in lower case, plus out_prefix.
+_CONFIG_TYPES = {name.lower(): kind for name, kind in get_type_hints(SimConfig).items()}
+_CONFIG_TYPES["out_prefix"] = str
 
 
 def _parse_bool(raw: str) -> bool:
@@ -158,6 +119,14 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# How a value is parsed by its field type; any other type is called on the text.
+_PARSERS = {
+    bool: _parse_bool,
+    tuple[float, ...]: lambda raw: tuple(float(part) for part in raw.split(",") if part.strip()),
+    float | None: float,
+}
 
 
 def parse_sim_config(text: str) -> tuple[SimConfig, str]:
@@ -175,61 +144,41 @@ def parse_sim_config(text: str) -> tuple[SimConfig, str]:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, rhs = line.partition("=")
         key = key.strip()
-        rhs = rhs.strip()
-        if key not in _CONFIG_SCHEMA:
+        if key not in _CONFIG_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        kind = _CONFIG_SCHEMA[key]
+        kind = _CONFIG_TYPES[key]
         try:
-            if kind is bool:
-                values[key] = _parse_bool(rhs)
-            elif kind is tuple:
-                values[key] = tuple(float(part) for part in rhs.split(",") if part.strip())
-            else:
-                values[key] = kind(rhs)
+            values[key] = _PARSERS.get(kind, kind)(rhs.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
-    missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in values]
+    config_fields = fields(SimConfig)
+    missing = [f.name.lower() for f in config_fields
+               if f.default is MISSING and f.name.lower() not in values]
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
-
-    prefix = values.pop("out_prefix", "bler")
-    values["N"] = values.pop("n")
-    values["K"] = values.pop("k")
-    return SimConfig(**values), prefix
+    config = SimConfig(**{f.name: values[f.name.lower()] for f in config_fields
+                          if f.name.lower() in values})
+    return config, values.get("out_prefix", "bler")
 
 
 def _cmd_simulate(args) -> int:
     try:
         with open(args.config) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        config, prefix = parse_sim_config(text)
-    except ValueError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return 1
-
-    print(RECORD_CSV_HEADER)
-    try:
+            config, prefix = parse_sim_config(handle.read())
+        print(RECORD_CSV_HEADER)
         records = run_bler(config, on_record=lambda rec: print(record_csv_row(rec), flush=True))
-    except InfeasibleConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InfeasibleConstructionError:
+        raise
     except ValueError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        write_records_csv(records, f"{prefix}.csv")
-        write_manifest(config, f"{prefix}.manifest.json")
-    except OSError as exc:
-        print(f"error: cannot write results: {exc}", file=sys.stderr)
-        return 3
+        raise ValueError(f"{args.config}: {exc}") from exc
+    write_records_csv(records, f"{prefix}.csv")
+    write_manifest(config, f"{prefix}.manifest.json")
     return 0
+
+
+# Exit code by error type, first match wins; success is 0 and a usage error 1.
+_EXIT_CODES = {InfeasibleConstructionError: 2, ValueError: 1, OSError: 3}
 
 
 def main(argv=None) -> int:
@@ -241,7 +190,11 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -77,6 +77,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Polar code layout: mother length N, info count K, the info index set, and
@@ -94,14 +99,15 @@ class CodeSpec:
     bch_segments: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.N) or not _is_integer(self.K):
+            raise ValueError(f"N and K must be integers, not bool, got {self.N!r} and {self.K!r}")
         if not _is_power_of_two(self.N) or not 2 <= self.N <= 1024:
             raise ValueError(f"N must be a power of two in [2, 1024], got {self.N}")
         if not 0 <= self.K <= self.N:
             raise ValueError(f"K out of range: {self.K}")
         object.__setattr__(self, "info_set", frozenset(self.info_set))
         object.__setattr__(self, "bch_segments", frozenset(self.bch_segments))
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   for i in (*self.info_set, *self.bch_segments)):
+        if not all(_is_integer(i) for i in (*self.info_set, *self.bch_segments)):
             raise ValueError("info_set and bch_segments entries must be integers, not bool")
         if len(self.info_set) != self.K:
             raise ValueError(f"info_set has {len(self.info_set)} entries, expected K={self.K}")

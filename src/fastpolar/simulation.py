@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import math
 import subprocess
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .construction import DEFAULT_DESIGN_SNR_DB, construct_fast_polar, construct_polar
-from .core import QuantizedLLR, _clip, saturation_limit
+from .construction import _METHODS, DEFAULT_DESIGN_SNR_DB, construct_fast_polar, construct_polar
+from .core import QuantizedLLR, _clip, _is_integer, saturation_limit
 from .decoder import _block_frames, fast_sc_decode
 from .encoder import encode
 
@@ -45,6 +46,9 @@ class SimConfig:
     zero_noise: bool = False
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be non-empty")
@@ -54,6 +58,8 @@ class SimConfig:
             raise ValueError(f"llr_scale must be finite and positive, got {self.llr_scale}")
         if self.layout not in _LAYOUTS:
             raise ValueError(f"layout must be one of {_LAYOUTS}, got {self.layout!r}")
+        if self.method.lower() not in _METHODS:
+            raise ValueError(f"unknown construction method: {self.method!r}")
         if self.modulation not in _MODULATIONS:
             raise ValueError(f"modulation must be one of {_MODULATIONS}")
         if self.arithmetic not in _ARITHMETIC:
@@ -69,6 +75,9 @@ class SimConfig:
         if self.arithmetic == "fixed":
             saturation_limit(self.q_ch)
             saturation_limit(self.q_int)
+
+
+_INT_FIELDS = tuple(name for name, kind in get_type_hints(SimConfig).items() if kind is int)
 
 
 @dataclass(frozen=True)
@@ -277,7 +286,7 @@ def run_bler(config: SimConfig, on_record=None) -> list[BlerRecord]:
     return records
 
 
-RECORD_CSV_HEADER = "snr_db,eb_n0_db,frames,frame_errors,bit_errors,bler,ber"
+RECORD_CSV_HEADER = ",".join(f.name for f in fields(BlerRecord))
 
 
 def record_csv_row(record: BlerRecord) -> str:

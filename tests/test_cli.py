@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from fastpolar.cli import main, parse_sim_config
 from fastpolar.construction import construct_fast_polar, layout_from_dict
+from fastpolar.simulation import SimConfig
 
 
 def test_construct_prints_summary(capsys):
@@ -113,6 +115,20 @@ def test_parse_sim_config_happy_path():
     assert prefix == "run1"
 
 
+def test_parse_sim_config_round_trips_every_field():
+    config = SimConfig(N=128, K=100, snr_grid_db=(1.5, 2.25), layout="ga", method="pw",
+                       design_snr_db=3.25, modulation="bpsk", arithmetic="fixed", q_ch=6,
+                       q_int=7, llr_scale=1.75, max_frames=5000, target_errors=50,
+                       chunk_frames=128, rng_seed=11, workers=2, zero_noise=True)
+    lines = ["out_prefix = run2"]
+    for field in fields(SimConfig):
+        value = getattr(config, field.name)
+        assert value != field.default, field.name
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{field.name.lower()} = {text}")
+    assert parse_sim_config("\n".join(lines)) == (config, "run2")
+
+
 def test_parse_sim_config_rejects_unknown_key():
     with pytest.raises(ValueError, match="snr_grid"):
         parse_sim_config("n=64\nk=32\nsnr_grid=1.0")
@@ -154,6 +170,15 @@ def test_simulate_unknown_key_exits_one(tmp_path, capsys):
     config = _write_config(tmp_path, snr="6.0")
     assert main(["simulate", str(config)]) == 1
     assert "snr" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_three(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "layout.json"
+    assert main(["construct", "--n", "64", "--k", "48", "--out", str(out)]) == 3
+    assert str(out) in capsys.readouterr().err
+    config = _write_config(tmp_path, out_prefix=str(tmp_path / "no_such_dir" / "sweep"))
+    assert main(["simulate", str(config)]) == 3
+    assert "sweep.csv" in capsys.readouterr().err
 
 
 def test_simulate_missing_config_exits_three(capsys):

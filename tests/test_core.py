@@ -95,7 +95,10 @@ def test_code_spec_validation():
                           ({1.0}, ()), ({15}, {0.0}), ({15}, {False})):
         with pytest.raises(ValueError, match="integers"):
             CodeSpec(N=16, K=len(info_set), info_set=info_set, bch_segments=bch)
-    numpy_ints = CodeSpec(N=16, K=2, info_set={np.int64(3), np.uint8(15)})
+    for N, K in ((16, 1.0), (16, True), (16.0, 1), (np.float64(16), 1), (16, np.bool_(True))):
+        with pytest.raises(ValueError, match="N and K must be integers"):
+            CodeSpec(N=N, K=K, info_set={3})
+    numpy_ints = CodeSpec(N=np.int64(16), K=np.uint8(2), info_set={np.int64(3), np.uint8(15)})
     assert numpy_ints == CodeSpec(N=16, K=2, info_set={3, 15})
     assert numpy_ints.info_positions.tolist() == [3, 15]
     info = np.flatnonzero(~canonical_frozen_mask(11)).astype(np.int32)

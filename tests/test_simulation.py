@@ -234,9 +234,19 @@ def test_sim_config_validation():
                 dict(chunk_frames=0), dict(workers=0), dict(workers=-3),
                 dict(q_ch=3, arithmetic="fixed"),
                 dict(snr_grid_db=[1, math.nan]), dict(snr_grid_db=[-math.inf]),
-                dict(llr_scale=math.nan), dict(llr_scale=math.inf), dict(llr_scale=0.0)):
+                dict(llr_scale=math.nan), dict(llr_scale=math.inf), dict(llr_scale=0.0),
+                dict(method="gauss")):
         with pytest.raises(ValueError):
             SimConfig(**{**good, **bad})
+    for name in ("N", "K", "q_ch", "q_int", "max_frames", "target_errors", "chunk_frames",
+                 "rng_seed", "workers"):
+        for value in (1000.0, 1.5, True, np.bool_(True), "8"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimConfig(**{**good, name: value})
+    assert SimConfig(**good, method="PW").method == "PW"
+    numpy_ints = SimConfig(N=np.int64(64), K=np.int32(32), snr_grid_db=[1, 2],
+                           max_frames=np.uint16(1000), rng_seed=np.int64(7))
+    assert numpy_ints == SimConfig(N=64, K=32, snr_grid_db=[1, 2], max_frames=1000, rng_seed=7)
 
 
 def _tiny_config(**overrides):
