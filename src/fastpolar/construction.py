@@ -31,31 +31,62 @@ def _ln_phi(x: np.ndarray) -> np.ndarray:
     branches differ by 0.025 at x = 10. Exact phi would move u-index 274 of
     construct_polar(1024, 896) to 53 and so change the GA traversal that
     REFERENCE_GA_HISTOGRAM pins: that reference belongs to this approximation.
+
+    Each branch sees x clamped to its own side of 10, so every kept lane does
+    the arithmetic it would do alone, and NaN takes the large branch.
     """
     x = np.asarray(x, dtype=float)
-    small = x < 10.0
-    xs = np.where(small, x, 1.0)
-    out_small = -0.4527 * xs**0.86 + 0.0218
-    xl = np.where(small, 10.0, x)
-    out_large = 0.5 * np.log(np.pi / xl) + np.log1p(-10.0 / (7.0 * xl)) - xl / 4.0
-    return np.where(small, out_small, out_large)
+    xl = np.maximum(x, 10.0)
+    out = np.asarray(0.5 * np.log(np.pi / xl) + np.log1p(-10.0 / (7.0 * xl)) - xl / 4.0)
+    np.copyto(out, -0.4527 * np.minimum(x, 10.0) ** 0.86 + 0.0218, where=x < 10.0)
+    return out
+
+
+# The GA inverse's bisection bounds and step budget. _BOUNDS holds _HI, the
+# first _PREFIX mids every input tests until its first "above" step (GA
+# inputs turn within 30), and _LO.
+_LO, _HI, _STEPS, _PREFIX = 1e-12, 1e7, 200, 60
+_BOUNDS = [_HI]
+for _ in range(_PREFIX):
+    _BOUNDS.append(0.5 * (_LO + _BOUNDS[-1]))
+_BOUNDS = np.array(_BOUNDS + [_LO])
+_PREFIX_LN_PHI = _ln_phi(_BOUNDS[1:-1])
+
+
+def _bisect(ln_y: np.ndarray, lo: np.ndarray, hi: np.ndarray, steps: int):
+    """Up to `steps` bisection steps from [lo, hi]: the midpoint, and whether a
+    step moved no bound anywhere. Such a step is a fixed point: the remaining
+    steps would repeat it, so stopping there changes no bit."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        above = _ln_phi(mid) > ln_y
+        if (mid == np.where(above, lo, hi)).all():
+            return 0.5 * (lo + hi), True
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi), False
 
 
 def _phi_inv_ln(ln_y: np.ndarray) -> np.ndarray:
-    """Invert phi by bisection in the log domain (phi is monotone decreasing)."""
+    """Invert phi by bisection in the log domain (phi is monotone decreasing
+    apart from the jump between its branches at x = 10).
+
+    The result is bit for bit that of _STEPS literal steps from [_LO, _HI].
+    Until an input's first "above" step j, lo stays at _LO and hi halves, so
+    every input tests the same mids first, and their ln phi is computed
+    once. j is the first prefix mid whose ln phi exceeds the input, found by
+    comparison (a search would assume ln phi monotone), and the loop starts
+    at lo = mid j, hi = mid j-1 (_HI for j = 0); an input that does not turn
+    in the prefix starts at its end. The loop's budget is what the whole
+    prefix leaves, so each input stays within _STEPS; should it end before
+    the fixed point, the bisection reruns from the start.
+    """
     ln_y = np.asarray(ln_y, dtype=float)
-    lo = np.full_like(ln_y, 1e-12)
-    hi = np.full_like(ln_y, 1e7)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        above = _ln_phi(mid) > ln_y
-        new_lo, new_hi = np.where(above, mid, lo), np.where(above, hi, mid)
-        # A step that moves neither bound is a fixed point: the remaining
-        # steps would repeat it, so stopping here changes no bit.
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+    hits = _PREFIX_LN_PHI > ln_y[..., None]
+    j = np.where(hits.any(axis=-1), hits.argmax(axis=-1), _PREFIX)
+    mid, fixed = _bisect(ln_y, _BOUNDS[j + 1], _BOUNDS[j], _STEPS - _PREFIX)
+    if not fixed:
+        mid, _ = _bisect(ln_y, np.full_like(ln_y, _LO), np.full_like(ln_y, _HI), _STEPS)
+    return mid
 
 
 def _ga_means(N: int, design_snr_db: float) -> np.ndarray:
@@ -191,7 +222,7 @@ def construct_fast_polar(
     method = method.lower()
     scores = _reliability_scores(N, method, design_snr_db)
     counts = _reallocate(N, K, scores)
-    frozen = np.concatenate([canonical_frozen_mask(k) for k in counts])
+    frozen = canonical_frozen_mask(counts).ravel()
     bch = {t for t, k in enumerate(counts) if FAST_TAG_BY_K[k] in BCH_TAGS}
     return CodeSpec(N=N, K=K, info_set=np.flatnonzero(~frozen).tolist(), bch_segments=bch)
 

@@ -105,10 +105,17 @@ class CodeSpec:
             raise ValueError(f"N must be a power of two in [2, 1024], got {self.N}")
         if not 0 <= self.K <= self.N:
             raise ValueError(f"K out of range: {self.K}")
-        object.__setattr__(self, "info_set", frozenset(self.info_set))
-        object.__setattr__(self, "bch_segments", frozenset(self.bch_segments))
-        if not all(_is_integer(i) for i in (*self.info_set, *self.bch_segments)):
-            raise ValueError("info_set and bch_segments entries must be integers, not bool")
+        # Every entry is checked before a set can merge 1.0 into 1; one entry
+        # of each type stands for the rest. Accepted numpy integers become int.
+        info, bch = tuple(self.info_set), tuple(self.bch_segments)
+        for entry in {type(i): i for i in info + bch}.values():
+            if not _is_integer(entry):
+                raise ValueError(
+                    f"info_set and bch_segments entries must be integers, got {entry!r}")
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "info_set", frozenset(map(int, info)))
+        object.__setattr__(self, "bch_segments", frozenset(map(int, bch)))
         if len(self.info_set) != self.K:
             raise ValueError(f"info_set has {len(self.info_set)} entries, expected K={self.K}")
         if self.info_set and not all(0 <= i < self.N for i in self.info_set):
@@ -152,12 +159,12 @@ class CodeSpec:
         its info count where its positions are canonical and it is a BCH
         segment exactly when that tag is a BCH tag; SLOW otherwise."""
         blocks = self.frozen_mask[:SEGMENT_SIZE * self.segment_count].reshape(-1, SEGMENT_SIZE)
+        ks = SEGMENT_SIZE - blocks.sum(axis=1)
+        canonical = (blocks == canonical_frozen_mask(ks)).all(axis=1)
         tags = []
-        for t, local in enumerate(blocks):
-            k = SEGMENT_SIZE - int(local.sum())
+        for t, (k, fast) in enumerate(zip(ks.tolist(), canonical.tolist())):
             tag = FAST_TAG_BY_K.get(k, PatternTag.SLOW)
-            fast = np.array_equal(local, canonical_frozen_mask(k)) and \
-                (tag in BCH_TAGS) == (t in self.bch_segments)
+            fast = fast and (tag in BCH_TAGS) == (t in self.bch_segments)
             tags.append(tag if fast else PatternTag.SLOW)
         return tuple(tags)
 
@@ -166,17 +173,17 @@ class CodeSpec:
         return {f.name: self.__dict__[f.name] for f in fields(self)}
 
 
-def canonical_frozen_mask(k: int) -> np.ndarray:
-    """Canonical length-16 frozen mask for a segment with k info bits.
+def canonical_frozen_mask(k) -> np.ndarray:
+    """Canonical length-16 frozen mask for a segment with k info bits, or one
+    row of it per count for an array of counts.
 
     Frozen positions occupy the smallest local indices, information (or BCH
     placeholder) positions the largest.
     """
-    if not 0 <= k <= SEGMENT_SIZE:
+    k = np.asarray(k)
+    if np.any((k < 0) | (k > SEGMENT_SIZE)):
         raise ValueError(f"segment info count out of range: {k}")
-    mask = np.zeros(SEGMENT_SIZE, dtype=bool)
-    mask[: SEGMENT_SIZE - k] = True
-    return mask
+    return np.arange(SEGMENT_SIZE) < SEGMENT_SIZE - k[..., None]
 
 
 def saturation_limit(width: int) -> int:

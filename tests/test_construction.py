@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -246,6 +247,12 @@ def test_layout_to_dict_writes_tags_only_for_fast_layouts():
         layout_to_dict(mixed)
 
 
+def test_layout_document_of_numpy_integers_is_json():
+    layout = CodeSpec(N=np.int64(16), K=np.int64(1), info_set={np.int64(15)})
+    doc = json.loads(json.dumps(layout_to_dict(layout)))
+    assert (doc["N"], doc["K"], doc["info_set"]) == (16, 1, [15])
+
+
 def _full_bisection(ln_y):
     """The GA inverse as a fixed 200-step bisection, the reference for the early stop."""
     ln_y = np.asarray(ln_y, dtype=float)
@@ -267,3 +274,45 @@ def test_ga_bisection_stops_on_the_full_bisection_result(monkeypatch):
     monkeypatch.setattr(construction, "_phi_inv_ln", _full_bisection)
     for case in cases:
         assert np.array_equal(early[case], construction._ga_means(*case))
+
+
+def test_ga_prefix_skip_matches_the_full_bisection(monkeypatch):
+    ln_y = np.concatenate([-np.logspace(-12, 7, 2000), np.linspace(-3.30, -3.20, 201),
+                           [0.0, np.nan, np.inf, -np.inf]])
+    assert np.array_equal(construction._phi_inv_ln(ln_y), _full_bisection(ln_y), equal_nan=True)
+    # Every GA level inverts the previous level's output, so _ga_means is
+    # unchanged when each inversion it makes is; all of them go through one
+    # batched full bisection. A 1024 run holds every smaller N's levels, and
+    # none of its inversions needs the rerun from the start.
+    inversions, runs = [], []
+    phi_inv_ln, bisect = construction._phi_inv_ln, construction._bisect
+
+    def recorded(ln_y):
+        inversions.append((ln_y, phi_inv_ln(ln_y)))
+        return inversions[-1][1]
+
+    monkeypatch.setattr(construction, "_phi_inv_ln", recorded)
+    monkeypatch.setattr(construction, "_bisect", lambda *args: runs.append(1) or bisect(*args))
+    for snr in range(-5, 16):
+        construction._ga_means(1024, snr)
+    inputs, outputs = (np.concatenate(parts) for parts in zip(*inversions))
+    assert len(inputs) == 21 * 1023 and len(runs) == len(inversions) == 21 * 10
+    assert np.array_equal(outputs, _full_bisection(inputs))
+    monkeypatch.setattr(construction, "_phi_inv_ln", phi_inv_ln)
+    layouts = construct_polar(1024, 896), construct_fast_polar(1024, 896)
+    monkeypatch.setattr(construction, "_phi_inv_ln", _full_bisection)
+    assert layouts == (construct_polar(1024, 896), construct_fast_polar(1024, 896))
+
+
+def test_ga_bisection_reruns_from_the_start_when_its_budget_ends(monkeypatch):
+    runs = []
+    bisect = construction._bisect
+
+    def first_run_ends_early(ln_y, lo, hi, steps):
+        runs.append(steps)
+        return (np.zeros_like(ln_y), False) if len(runs) == 1 else bisect(ln_y, lo, hi, steps)
+
+    monkeypatch.setattr(construction, "_bisect", first_run_ends_early)
+    ln_y = -np.logspace(-3, 3, 50)
+    assert np.array_equal(construction._phi_inv_ln(ln_y), _full_bisection(ln_y))
+    assert runs[1] == 200

@@ -106,6 +106,17 @@ def test_code_spec_validation():
         == (PatternTag.BCH_T1,)
 
 
+def test_code_spec_checks_entries_before_the_set_merges_them():
+    for info_set in ([1, 1.0], [1.0, 1]):
+        with pytest.raises(ValueError, match="must be integers, got 1.0"):
+            CodeSpec(N=16, K=1, info_set=info_set)
+    with pytest.raises(ValueError, match="must be integers, got 0.0"):
+        CodeSpec(N=32, K=7, info_set=range(9, 16), bch_segments=[0, 0.0])
+    layout = CodeSpec(N=np.int64(16), K=np.int64(1), info_set={np.int64(15)},
+                      bch_segments=np.array([], dtype=np.int64))
+    assert all(type(v) is int for v in (layout.N, layout.K, *layout.info_set))
+
+
 def test_canonical_frozen_mask_places_info_high():
     mask = canonical_frozen_mask(3)
     assert mask[:13].all()

@@ -247,6 +247,12 @@ def test_sim_config_validation():
     numpy_ints = SimConfig(N=np.int64(64), K=np.int32(32), snr_grid_db=[1, 2],
                            max_frames=np.uint16(1000), rng_seed=np.int64(7))
     assert numpy_ints == SimConfig(N=64, K=32, snr_grid_db=[1, 2], max_frames=1000, rng_seed=7)
+    assert type(numpy_ints.N) is int and type(numpy_ints.max_frames) is int
+
+
+def test_manifest_takes_numpy_integers(tmp_path):
+    write_manifest(SimConfig(N=np.int64(64), K=32, snr_grid_db=[1]), tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["config"]["N"] == 64
 
 
 def _tiny_config(**overrides):
