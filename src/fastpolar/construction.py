@@ -53,19 +53,6 @@ _BOUNDS = np.array(_BOUNDS + [_LO])
 _PREFIX_LN_PHI = _ln_phi(_BOUNDS[1:-1])
 
 
-def _bisect(ln_y: np.ndarray, lo: np.ndarray, hi: np.ndarray, steps: int):
-    """Up to `steps` bisection steps from [lo, hi]: the midpoint, and whether a
-    step moved no bound anywhere. Such a step is a fixed point: the remaining
-    steps would repeat it, so stopping there changes no bit."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        above = _ln_phi(mid) > ln_y
-        if (mid == np.where(above, lo, hi)).all():
-            return 0.5 * (lo + hi), True
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return 0.5 * (lo + hi), False
-
-
 def _phi_inv_ln(ln_y: np.ndarray) -> np.ndarray:
     """Invert phi by bisection in the log domain (phi is monotone decreasing
     apart from the jump between its branches at x = 10).
@@ -76,17 +63,23 @@ def _phi_inv_ln(ln_y: np.ndarray) -> np.ndarray:
     once. j is the first prefix mid whose ln phi exceeds the input, found by
     comparison (a search would assume ln phi monotone), and the loop starts
     at lo = mid j, hi = mid j-1 (_HI for j = 0); an input that does not turn
-    in the prefix starts at its end. The loop's budget is what the whole
-    prefix leaves, so each input stays within _STEPS; should it end before
-    the fixed point, the bisection reruns from the start.
+    in the prefix starts at its end. The loop stops at the first step that
+    moves no bound anywhere: that is a fixed point, and the remaining steps
+    would repeat it. Its budget is what the whole prefix leaves, and that is
+    enough: an interval from _HI shrinks to one ulp near _LO within about
+    116 halvings, so every input reaches its fixed point well within _STEPS.
     """
     ln_y = np.asarray(ln_y, dtype=float)
     hits = _PREFIX_LN_PHI > ln_y[..., None]
     j = np.where(hits.any(axis=-1), hits.argmax(axis=-1), _PREFIX)
-    mid, fixed = _bisect(ln_y, _BOUNDS[j + 1], _BOUNDS[j], _STEPS - _PREFIX)
-    if not fixed:
-        mid, _ = _bisect(ln_y, np.full_like(ln_y, _LO), np.full_like(ln_y, _HI), _STEPS)
-    return mid
+    lo, hi = _BOUNDS[j + 1], _BOUNDS[j]
+    for _ in range(_STEPS - _PREFIX):
+        mid = 0.5 * (lo + hi)
+        above = _ln_phi(mid) > ln_y
+        if (mid == np.where(above, lo, hi)).all():
+            break
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _ga_means(N: int, design_snr_db: float) -> np.ndarray:

@@ -105,10 +105,10 @@ class CodeSpec:
             raise ValueError(f"N must be a power of two in [2, 1024], got {self.N}")
         if not 0 <= self.K <= self.N:
             raise ValueError(f"K out of range: {self.K}")
-        # Every entry is checked before a set can merge 1.0 into 1; one entry
-        # of each type stands for the rest. Accepted numpy integers become int.
+        # Every entry is checked before a set can merge 1.0 into 1. Accepted
+        # numpy integers become int.
         info, bch = tuple(self.info_set), tuple(self.bch_segments)
-        for entry in {type(i): i for i in info + bch}.values():
+        for entry in info + bch:
             if not _is_integer(entry):
                 raise ValueError(
                     f"info_set and bch_segments entries must be integers, got {entry!r}")

@@ -282,37 +282,22 @@ def test_ga_prefix_skip_matches_the_full_bisection(monkeypatch):
     assert np.array_equal(construction._phi_inv_ln(ln_y), _full_bisection(ln_y), equal_nan=True)
     # Every GA level inverts the previous level's output, so _ga_means is
     # unchanged when each inversion it makes is; all of them go through one
-    # batched full bisection. A 1024 run holds every smaller N's levels, and
-    # none of its inversions needs the rerun from the start.
-    inversions, runs = [], []
-    phi_inv_ln, bisect = construction._phi_inv_ln, construction._bisect
+    # batched full bisection. A 1024 run holds every smaller N's levels.
+    inversions = []
+    phi_inv_ln = construction._phi_inv_ln
 
     def recorded(ln_y):
         inversions.append((ln_y, phi_inv_ln(ln_y)))
         return inversions[-1][1]
 
     monkeypatch.setattr(construction, "_phi_inv_ln", recorded)
-    monkeypatch.setattr(construction, "_bisect", lambda *args: runs.append(1) or bisect(*args))
     for snr in range(-5, 16):
         construction._ga_means(1024, snr)
     inputs, outputs = (np.concatenate(parts) for parts in zip(*inversions))
-    assert len(inputs) == 21 * 1023 and len(runs) == len(inversions) == 21 * 10
+    assert len(inputs) == 21 * 1023 and len(inversions) == 21 * 10
     assert np.array_equal(outputs, _full_bisection(inputs))
     monkeypatch.setattr(construction, "_phi_inv_ln", phi_inv_ln)
     layouts = construct_polar(1024, 896), construct_fast_polar(1024, 896)
     monkeypatch.setattr(construction, "_phi_inv_ln", _full_bisection)
     assert layouts == (construct_polar(1024, 896), construct_fast_polar(1024, 896))
 
-
-def test_ga_bisection_reruns_from_the_start_when_its_budget_ends(monkeypatch):
-    runs = []
-    bisect = construction._bisect
-
-    def first_run_ends_early(ln_y, lo, hi, steps):
-        runs.append(steps)
-        return (np.zeros_like(ln_y), False) if len(runs) == 1 else bisect(ln_y, lo, hi, steps)
-
-    monkeypatch.setattr(construction, "_bisect", first_run_ends_early)
-    ln_y = -np.logspace(-3, 3, 50)
-    assert np.array_equal(construction._phi_inv_ln(ln_y), _full_bisection(ln_y))
-    assert runs[1] == 200
