@@ -63,14 +63,26 @@ def node_frozen_mask(tag: PatternTag, M: int) -> np.ndarray:
     return np.arange(M) < frozen_prefix(tag, M)
 
 
-# Bijection between the ten fast tags and their per-segment information counts.
-FAST_TAG_BY_K = {
-    **{SEGMENT_SIZE - frozen_prefix(tag, SEGMENT_SIZE): tag for tag in NODE_SHAPES},
-    7: PatternTag.BCH_T2,
-    11: PatternTag.BCH_T1,
+# The two grafted extended BCH codes, (generator, t): the narrow-sense generator
+# polynomial of the (15, k) code, coefficients ascending by degree, and its
+# correction radius. A row's info count k is 16 - len(generator).
+BCH_CODES = {
+    PatternTag.BCH_T2: ((1, 0, 0, 0, 1, 0, 1, 1, 1), 2),  # x^8 + x^7 + x^6 + x^4 + 1
+    PatternTag.BCH_T1: ((1, 1, 0, 0, 1), 1),              # x^4 + x + 1
 }
 
-BCH_TAGS = frozenset({PatternTag.BCH_T1, PatternTag.BCH_T2})
+BCH_TAGS = frozenset(BCH_CODES)
+
+
+def info_count(tag: PatternTag) -> int:
+    """Information count of a 16-bit segment with one of the ten fast tags."""
+    if tag in BCH_CODES:
+        return SEGMENT_SIZE - len(BCH_CODES[tag][0])
+    return SEGMENT_SIZE - frozen_prefix(tag, SEGMENT_SIZE)
+
+
+# Bijection between the ten fast tags and their per-segment information counts.
+FAST_TAG_BY_K = {info_count(tag): tag for tag in (*NODE_SHAPES, *BCH_CODES)}
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -12,8 +12,9 @@ from functools import partial
 
 import numpy as np
 
-from .bch import VARIANT_BY_TAG, bch_node_decode
+from .bch import bch_node_decode
 from .core import (
+    BCH_CODES,
     BCH_TAGS,
     NODE_SHAPES,
     SEGMENT_SIZE,
@@ -24,6 +25,7 @@ from .core import (
     hard_decision,
     llr_sum,
     saturate,
+    saturation_limit,
     wagner,
 )
 from .encoder import info_gather, polar_transform
@@ -210,7 +212,7 @@ class DecodeResult:
 _NODE_DECODERS = {
     **{tag: partial(decode_info if kind == "info" else decode_frozen, c=c)
        for tag, (kind, c) in NODE_SHAPES.items()},
-    **{tag: partial(bch_node_decode, variant=variant) for tag, variant in VARIANT_BY_TAG.items()},
+    **{tag: partial(bch_node_decode, tag=tag) for tag in BCH_CODES},
 }
 
 
@@ -220,8 +222,8 @@ def _entry_llrs(alpha: np.ndarray, width) -> np.ndarray:
     if width is not None:
         if alpha.dtype.kind not in "iu":
             raise ValueError("fixed-point decoding requires integer LLRs")
-        if alpha.dtype.kind != "i":
-            alpha = alpha.astype(np.int64)
+        if alpha.dtype.kind == "u":  # clamp before the cast, so no large value turns negative
+            alpha = np.minimum(alpha, saturation_limit(width)).astype(np.int8)
         return saturate(alpha, width).astype(np.int8, copy=False)
     alpha = alpha.astype(np.float64, copy=False)
     if not np.isfinite(alpha).all():

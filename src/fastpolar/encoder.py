@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bch import VARIANT_BY_TAG, BchVariant, bch_encode
-from .core import SEGMENT_SIZE, CodeSpec, _is_power_of_two
+from .bch import bch_encode
+from .core import BCH_CODES, SEGMENT_SIZE, CodeSpec, PatternTag, _is_power_of_two, info_count
 
 
 def _transform_stages(x: np.ndarray, h: int = 1) -> np.ndarray:
@@ -64,11 +64,6 @@ def polar_transform(u: np.ndarray, blocks=None) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=N)
 
 
-def bch_message_positions(variant: BchVariant) -> np.ndarray:
-    """Local u-domain offsets of the systematic message bits inside a BCH segment."""
-    return np.arange(15 - variant.k, 15)
-
-
 def info_gather(code: CodeSpec) -> np.ndarray:
     """u-domain index of each info bit, in info order. A BCH segment's message
     bits sit at their systematic positions in its 16-bit codeword, one place
@@ -77,14 +72,15 @@ def info_gather(code: CodeSpec) -> np.ndarray:
     return positions - np.isin(positions // SEGMENT_SIZE, list(code.bch_segments))
 
 
-def _transformed_codewords(variant: BchVariant) -> np.ndarray:
+def _transformed_codewords(tag: PatternTag) -> np.ndarray:
     """(2^k, 16) u-blocks: row m is the transform of the extended codeword whose
     message bit j is bit j of m."""
-    messages = np.arange(1 << variant.k)[:, None] >> np.arange(variant.k) & 1
-    return polar_transform(bch_encode(messages, variant))
+    k = info_count(tag)
+    messages = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    return polar_transform(bch_encode(messages, tag))
 
 
-_BCH_U_BLOCKS = {variant: _transformed_codewords(variant) for variant in BchVariant}
+_BCH_U_BLOCKS = {tag: _transformed_codewords(tag) for tag in BCH_CODES}
 
 
 def encode(code: CodeSpec, info: np.ndarray) -> np.ndarray:
@@ -109,8 +105,8 @@ def encode(code: CodeSpec, info: np.ndarray) -> np.ndarray:
         u[..., gather[lo]:gather[lo] + hi - lo] = info[..., lo:hi]
     for t in code.bch_segments:
         block = u[..., SEGMENT_SIZE * t:SEGMENT_SIZE * (t + 1)]
-        variant = VARIANT_BY_TAG[code.segments[t]]
+        tag = code.segments[t]
         # the message sits at bits 15 - k to 14 of the block, and bit 15 is 0
         message = np.packbits(block, axis=-1, bitorder="little").view("<u2")[..., 0]
-        block[...] = _BCH_U_BLOCKS[variant].take(message >> (15 - variant.k), axis=0)
+        block[...] = _BCH_U_BLOCKS[tag].take(message >> (15 - info_count(tag)), axis=0)
     return polar_transform(u)

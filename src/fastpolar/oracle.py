@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import VARIANT_BY_TAG, bch_encode
-from .core import CodeSpec, PatternTag, hard_decision, node_frozen_mask
+from .bch import bch_encode
+from .core import BCH_TAGS, CodeSpec, PatternTag, hard_decision, info_count, node_frozen_mask
 from .decoder import f_check, g_bit
 from .encoder import polar_transform
 
@@ -30,13 +30,12 @@ class NodeCodebook:
 def enumerate_codebook(kind, M: int) -> NodeCodebook:
     """Every valid M-bit word of a node kind, generated by sweeping the free u bits."""
     kind = PatternTag(kind)
-    if kind in VARIANT_BY_TAG:
+    if kind in BCH_TAGS:
         if M != 16:
             raise ValueError("BCH nodes have length 16")
-        variant = VARIANT_BY_TAG[kind]
-        k = variant.k
+        k = info_count(kind)
         messages = ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-        return NodeCodebook(kind, M, _lex_sorted(bch_encode(messages, variant)))
+        return NodeCodebook(kind, M, _lex_sorted(bch_encode(messages, kind)))
     mask = node_frozen_mask(kind, M)
     k = int(M - mask.sum())
     if k > _MAX_ENUM_BITS:

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from fastpolar.analysis import reduction_ratios, traversal_stats
-from fastpolar.bch import BchVariant, bch_decode_hard, bch_encode, bch_node_decode
+from fastpolar.bch import bch_decode_hard, bch_encode, bch_node_decode
 from fastpolar.construction import InfeasibleConstructionError, construct_fast_polar, construct_polar
-from fastpolar.core import PatternTag
+from fastpolar.core import BCH_CODES, PatternTag, info_count
 from fastpolar.decoder import (
     SC_EQUIVALENT_LIMITS,
     decode_node,
@@ -58,34 +58,34 @@ def test_criterion_2_parallel_minimum_matches_argmin():
 
 def test_criterion_3_bch_exhaustive_coverage():
     started = time.monotonic()
-    for variant in (BchVariant.T1, BchVariant.T2):
-        k = variant.k
+    for tag in (PatternTag.BCH_T1, PatternTag.BCH_T2):
+        k = info_count(tag)
         messages = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
-        codewords = bch_encode(messages, variant)
+        codewords = bch_encode(messages, tag)
         inner = codewords[:, :15]
         assert np.array_equal(codewords[:, 15 - k:15], messages)
 
-        decoded, ok = bch_decode_hard(inner, variant)
+        decoded, ok = bch_decode_hard(inner, tag)
         assert ok.all() and np.array_equal(decoded, inner)
-        error_weights = range(1, variant.t + 1)
+        error_weights = range(1, BCH_CODES[tag][1] + 1)
         for weight in error_weights:
             for positions in itertools.combinations(range(15), weight):
                 word = inner.copy()
                 word[:, list(positions)] ^= 1
-                decoded, ok = bch_decode_hard(word, variant)
-                assert ok.all(), (variant, positions)
-                assert np.array_equal(decoded, inner), (variant, positions)
+                decoded, ok = bch_decode_hard(word, tag)
+                assert ok.all(), (tag, positions)
+                assert np.array_equal(decoded, inner), (tag, positions)
 
     # T2 two-step: any 3 flips whose unique weakest position is erroneous
     messages = ((np.arange(128)[:, None] >> np.arange(7)) & 1).astype(np.uint8)
-    codewords = bch_encode(messages, BchVariant.T2)
+    codewords = bch_encode(messages, PatternTag.BCH_T2)
     for positions in itertools.combinations(range(16), 3):
         amplitudes = np.full(16, 4.0)
         amplitudes[list(positions)] = (1.0, 2.0, 3.0)
         received = codewords.copy()
         received[:, list(positions)] ^= 1
         alpha = (1.0 - 2.0 * received) * amplitudes
-        assert np.array_equal(bch_node_decode(alpha, BchVariant.T2), codewords), positions
+        assert np.array_equal(bch_node_decode(alpha, PatternTag.BCH_T2), codewords), positions
     assert time.monotonic() - started < 120
 
 

@@ -531,6 +531,25 @@ def test_out_of_range_integer_llrs_are_clamped_on_entry():
             assert np.array_equal(fast_sc_decode(code, frame, width=5).codeword_estimate, want)
 
 
+@pytest.mark.parametrize("width", [4, 5, 8])
+def test_unsigned_llrs_at_or_above_2_to_63_clamp_to_the_positive_rail(width):
+    # read as int64 before the clamp, these would turn negative and decode as ones
+    code = construct_fast_polar(64, 48)
+    rng = np.random.default_rng(90)
+    alpha = rng.choice(np.array([0, 3, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64), size=(6, 64))
+    alpha[0] = 2 ** 63
+    alpha[1] = 2 ** 64 - 1
+    clamped = np.minimum(alpha, saturation_limit(width)).astype(np.int64)
+    expected = fast_sc_decode(code, clamped, width=width)
+    result = fast_sc_decode(code, alpha, width=width)
+    assert not expected.codeword_estimate[:2].any()
+    assert np.array_equal(result.codeword_estimate, expected.codeword_estimate)
+    assert np.array_equal(result.info_bits, expected.info_bits)
+    for tag in FAST_TAG_BY_K.values():
+        assert np.array_equal(decode_node(tag, alpha[:, :16], width=width),
+                              decode_node(tag, clamped[:, :16], width=width)), tag
+
+
 def test_codeword_estimate_matches_info_bits():
     spec = construct_polar(128, 80, "ga")
     rng = np.random.default_rng(43)

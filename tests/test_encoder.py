@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from fastpolar import encoder
-from fastpolar.bch import _GENERATOR_MATRICES, VARIANT_BY_TAG, BchVariant, bch_encode
+from fastpolar.bch import _GENERATOR_MATRICES, bch_encode
 from fastpolar.construction import construct_fast_polar, construct_polar
-from fastpolar.core import CodeSpec
+from fastpolar.core import BCH_CODES, CodeSpec, PatternTag, info_count
 from fastpolar.encoder import (
     _transform_stages,
-    bch_message_positions,
     encode,
     info_gather,
     polar_transform,
@@ -100,17 +99,17 @@ def test_transform_blocks_of_the_fast_layout_give_the_segment_codewords():
     assert np.array_equal(u.take(info_gather(code), axis=-1), info)
     for t in code.bch_segments:
         # a BCH segment's subtree codeword is the BCH codeword of its message
-        variant = VARIANT_BY_TAG[code.segments[t]]
+        tag = code.segments[t]
         word = u[:, 16 * t:16 * (t + 1)]
-        assert np.array_equal(bch_encode(word[:, bch_message_positions(variant)], variant), word)
+        assert np.array_equal(bch_encode(word[:, 15 - info_count(tag):15], tag), word)
 
 
-@pytest.mark.parametrize("variant", list(BchVariant))
-def test_bch_u_block_table_matches_the_generator_matrix(variant):
-    k = variant.k
+@pytest.mark.parametrize("tag", list(BCH_CODES))
+def test_bch_u_block_table_matches_the_generator_matrix(tag):
+    k = info_count(tag)
     messages = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
-    codewords = messages @ _GENERATOR_MATRICES[variant] % 2
-    table = encoder._BCH_U_BLOCKS[variant]
+    codewords = messages @ _GENERATOR_MATRICES[tag] % 2
+    table = encoder._BCH_U_BLOCKS[tag]
     assert table.shape == (2 ** k, 16) and table.dtype == np.uint8
     assert np.array_equal(table, _transform_stages(codewords.copy()))
     assert np.array_equal(polar_transform(table), codewords)
@@ -137,12 +136,12 @@ def test_every_nonzero_value_reads_as_one():
     assert np.array_equal(encode(code, info.astype(bool)), expected)
     assert np.array_equal(symbols(info.astype(bool)), symbols(info))
     assert symbols(np.uint8(2)) == -2.0
-    for variant in BchVariant:
-        messages = rng.integers(0, 2, size=(20, variant.k), dtype=np.uint8)
-        codewords = bch_encode(messages, variant)
-        assert np.array_equal(bch_encode(messages * 2, variant), codewords)
-        assert np.array_equal(bch_encode(messages.astype(np.int64) * -3, variant), codewords)
-        assert np.array_equal(bch_encode(messages * 0.25, variant), codewords)
+    for tag in BCH_CODES:
+        messages = rng.integers(0, 2, size=(20, info_count(tag)), dtype=np.uint8)
+        codewords = bch_encode(messages, tag)
+        assert np.array_equal(bch_encode(messages * 2, tag), codewords)
+        assert np.array_equal(bch_encode(messages.astype(np.int64) * -3, tag), codewords)
+        assert np.array_equal(bch_encode(messages * 0.25, tag), codewords)
 
 
 def test_transform_rejects_bad_length():
@@ -192,9 +191,11 @@ def _layout(ks):
     return CodeSpec(N=16 * len(ks), K=sum(ks), info_set=frozenset(info), bch_segments=bch)
 
 
-def test_bch_message_positions():
-    assert list(bch_message_positions(BchVariant.T2)) == list(range(8, 15))
-    assert list(bch_message_positions(BchVariant.T1)) == list(range(4, 15))
+def test_info_gather_puts_bch_messages_below_the_placeholders():
+    # a BCH segment's message bits sit at local offsets 15 - k to 14 of its codeword
+    gather = info_gather(_layout([7, 11]))
+    assert list(gather[:7]) == list(range(8, 15))
+    assert list(gather[7:]) == list(range(16 + 4, 16 + 15))
 
 
 def test_encode_bch_segment_u_block():
@@ -205,7 +206,7 @@ def test_encode_bch_segment_u_block():
     x = encode(code, info)
     u = polar_transform(x)
     assert np.array_equal(u[:16], info[:16])
-    expected = bch_encode(info[16:], BchVariant.T2)
+    expected = bch_encode(info[16:], PatternTag.BCH_T2)
     assert np.array_equal(polar_transform(u[16:]), expected)
     # a trailing segment's codeword slice is the BCH codeword itself
     assert np.array_equal(x[16:], expected)
@@ -219,7 +220,7 @@ def test_encode_splits_message_across_segments_in_order():
     u = polar_transform(x)
     # first segment consumes 11 bits as a BCH-T1 message
     assert np.array_equal(polar_transform(u[:16]),
-                          bch_encode(info[:11], BchVariant.T1))
+                          bch_encode(info[:11], PatternTag.BCH_T1))
     # second segment holds its 3 bits at the top canonical positions
     assert np.array_equal(u[16:29], np.zeros(13, dtype=np.uint8))
     assert np.array_equal(u[29:], info[11:])
