@@ -22,7 +22,7 @@ def _node_doc(steps, start: int = 0) -> dict:
     """The subtree at u-index start whose first step is the next one of steps,
     an iterator over a plan's steps: F opens a branch, its left subtree
     follows, then G moves to its right child; a node step is a leaf."""
-    kind, stage, _, _, terminal = next(steps)
+    kind, stage, terminal = next(steps)
     doc = {
         "stage": stage,
         "span": [start, start + (1 << stage)],

@@ -33,15 +33,26 @@ def _generator_matrix(tag: PatternTag) -> np.ndarray:
 
 
 _GENERATOR_MATRICES = {tag: _generator_matrix(tag) for tag in BCH_CODES}
+_BCH_TAG_OF = {key: tag for tag in BCH_CODES for key in (tag, tag.value)}
+
+
+def _bch_tag(tag) -> PatternTag:
+    """The BCH PatternTag that tag, or its string, names; else ValueError."""
+    try:
+        return _BCH_TAG_OF[tag]
+    except (KeyError, TypeError):
+        names = ", ".join(t.value for t in BCH_CODES)
+        raise ValueError(f"expected a BCH tag, one of {names}; got {tag!r}") from None
 
 
 def bch_encode(message: np.ndarray, tag: PatternTag) -> np.ndarray:
-    """Encode message bits (..., k) into extended 16-bit codewords of a BCH tag.
+    """Encode message bits (..., k) into extended 16-bit codewords of a BCH tag or its string.
 
     BCH_T2 appends the overall parity of the 15 code bits; BCH_T1 duplicates
     the code bit at T1_REPEATED_POSITION (14) into position 15. Any nonzero
     message value is a 1, as in encode.
     """
+    tag = _bch_tag(tag)
     message, matrix = np.asarray(message), _GENERATOR_MATRICES[tag]
     if message.shape[-1] != len(matrix):
         raise ValueError(f"{tag.value} message length must be {len(matrix)}, "
@@ -75,7 +86,7 @@ _DECODING_TABLES = {tag: _decoding_table(tag) for tag in BCH_CODES}
 
 
 def bch_decode_hard(word: np.ndarray, tag: PatternTag):
-    """Correct up to t errors in binary 15-bit words (..., 15) by table lookup.
+    """Correct up to t errors in binary 15-bit words (..., 15) of a BCH tag or its string.
 
     Returns (corrected, ok). A word within distance t of a codeword becomes
     that codeword with ok True; any other word comes back unchanged with ok
@@ -92,14 +103,17 @@ def bch_decode_hard(word: np.ndarray, tag: PatternTag):
             raise ValueError("BCH words must hold only 0 and 1")
         word = word.astype(np.uint8, copy=False)
     index = word @ _INDEX_WEIGHTS
-    corrected, ok = _DECODING_TABLES[tag]
+    try:
+        corrected, ok = _DECODING_TABLES[tag]
+    except (KeyError, TypeError):  # a string or a bad tag: the PatternTag path does no more
+        corrected, ok = _DECODING_TABLES[_bch_tag(tag)]
     return corrected.take(index, axis=0), ok[index]
 
 
 def bch_node_decode(alpha: np.ndarray, tag: PatternTag,
                     width: int | None = None) -> np.ndarray:
-    """Decode 16 node LLRs (..., 16) of a BCH tag into a 16-bit word, always
-    returning bits.
+    """Decode 16 node LLRs (..., 16) of a BCH tag (a PatternTag or its string)
+    into a 16-bit word, always returning bits.
 
     BCH_T2: the Wagner decision on all 16 values (flip the minimum-magnitude
     position when the overall parity fails), then table-decode the first 15
@@ -108,7 +122,7 @@ def bch_node_decode(alpha: np.ndarray, tag: PatternTag,
     so re-extending gives back its own bit 15. BCH_T1: fold position 14's two LLRs
     into one, table-decode the 15 resulting hard bits, re-duplicate.
     """
-    alpha = np.asarray(alpha)
+    tag, alpha = _bch_tag(tag), np.asarray(alpha)
     if alpha.shape[-1] != 16:
         raise ValueError(f"expected 16 LLRs, got {alpha.shape[-1]}")
     bits = np.empty(alpha.shape, dtype=np.uint8)

@@ -282,7 +282,7 @@ def _block_frames(N: int, dtype) -> int:
 
 @dataclass(frozen=True)
 class DecodePlan:
-    """A layout's pruned tree as flat steps (kind, stage, x, y, z) in decode order for
+    """A layout's pruned tree as flat steps (kind, stage, z) in decode order for
     _run_plan, and the counters read from them; gather indexes the info bits in
     polar_transform(codeword, bch_blocks)."""
 
@@ -294,8 +294,8 @@ class DecodePlan:
 
 def build_tree(code: CodeSpec, limits: PatternLimits | None = None) -> tuple:
     """Prune the SC tree for a layout, stopping at every matched pattern node,
-    into its decode steps: F opens a branch at its stage, G moves to the
-    branch's right child, and a node step is a leaf."""
+    into decode steps (kind, stage, z): F opens a branch at its stage, G moves
+    to its right child (z: the left child's bits), a node step is a leaf (z: its _Terminal)."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     bch = {t: code.segments[t] for t in code.bch_segments}
     frozen_before = [0, *np.cumsum(code.frozen_mask).tolist()]
@@ -308,17 +308,16 @@ def build_tree(code: CodeSpec, limits: PatternLimits | None = None) -> tuple:
         tag = _match_span(frozen_before, start, size, limits, bch)
         if tag is not None:
             terminal = _Terminal(tag, _NODE_DECODERS[tag], np.s_[..., start:start + size], after)
-            steps.append((_NODE, stage, None, None, terminal))
+            steps.append((_NODE, stage, terminal))
             return
         if not stage:
             raise ValueError(f"leaf at index {start} matches no enabled pattern; "
                              "rate0/rate1 must be allowed at size 1")
         half = size // 2
-        left, right = np.s_[..., :half], np.s_[..., half:]
         bits_left = np.s_[..., start:start + half]
-        steps.append((_F, stage, left, right, None))
+        steps.append((_F, stage, None))
         rec(start, stage - 1)
-        steps.append((_G, stage, left, right, bits_left))
+        steps.append((_G, stage, bits_left))
         rec(start + half, stage - 1, ((bits_left, np.s_[..., start + half:start + size]), *after))
 
     rec(0, code.n)
@@ -329,8 +328,8 @@ def tree_stats(steps: tuple) -> TraversalStats:
     """Traversal counters of a plan's steps (layout-determined, channel-free):
     each F step opens a branch of two edges and 2^stage f evaluations, and the
     node steps are the terminals in decode order."""
-    tags = [z.tag for kind, _, _, _, z in steps if kind == _NODE]
-    f_stages = [stage for kind, stage, *_ in steps if kind == _F]
+    tags = [z.tag for kind, _, z in steps if kind == _NODE]
+    f_stages = [stage for kind, stage, _ in steps if kind == _F]
     return TraversalStats(terminal_nodes=len(tags), edges=2 * len(f_stages),
                           f_ops=sum(1 << stage for stage in f_stages),
                           histogram={tag: tags.count(tag) for tag in tags})
@@ -355,11 +354,15 @@ def _run_plan(plan: DecodePlan, alpha: np.ndarray, bits: np.ndarray, width, memo
     rows = len(alpha)
     llr = [memory[rows * ((1 << s) - 1):rows * ((2 << s) - 1)].reshape(rows, 1 << s)
            for s in range(alpha.shape[-1].bit_length() - 1)] + [alpha]
-    for kind, stage, x, y, z in plan.steps:
+    views = [None] + [(llr[s][:, :1 << s - 1], llr[s][:, 1 << s - 1:], llr[s - 1])
+                      for s in range(1, len(llr))]
+    for kind, stage, z in plan.steps:
         if kind == _F:
-            f_check(llr[stage][x], llr[stage][y], out=llr[stage - 1])
+            left, right, below = views[stage]
+            f_check(left, right, out=below)
         elif kind == _G:
-            g_bit(llr[stage][x], llr[stage][y], bits[z], width, out=llr[stage - 1])
+            left, right, below = views[stage]
+            g_bit(left, right, bits[z], width, out=below)
         else:
             _decode_terminal(z, llr[stage], width, bits)
 

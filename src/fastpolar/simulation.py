@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 from dataclasses import asdict, dataclass, fields
+from itertools import islice, starmap
 from pathlib import Path
 from typing import get_type_hints
 
@@ -57,28 +58,21 @@ class SimConfig:
             raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db}")
         if self.llr_scale is not None and not 0 < self.llr_scale < math.inf:
             raise ValueError(f"llr_scale must be finite and positive, got {self.llr_scale}")
-        if self.layout not in _LAYOUTS:
-            raise ValueError(f"layout must be one of {_LAYOUTS}, got {self.layout!r}")
         if self.method.lower() not in _METHODS:
             raise ValueError(f"unknown construction method: {self.method!r}")
-        if self.modulation not in _MODULATIONS:
-            raise ValueError(f"modulation must be one of {_MODULATIONS}")
-        if self.arithmetic not in _ARITHMETIC:
-            raise ValueError(f"arithmetic must be one of {_ARITHMETIC}")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be at least 1")
-        if self.target_errors < 1:
-            raise ValueError("target_errors must be at least 1")
-        if self.chunk_frames < 1:
-            raise ValueError("chunk_frames must be at least 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        for name in ("max_frames", "target_errors", "chunk_frames", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.arithmetic == "fixed":
             saturation_limit(self.q_ch)
             saturation_limit(self.q_int)
 
 
 _INT_FIELDS = tuple(name for name, kind in get_type_hints(SimConfig).items() if kind is int)
+_CHOICES = {"layout": _LAYOUTS, "modulation": _MODULATIONS, "arithmetic": _ARITHMETIC}
 
 
 @dataclass(frozen=True)
@@ -173,9 +167,8 @@ def quantize_channel(llr, width: int, scale: float) -> QuantizedLLR:
 
 
 def _build_layout(config: SimConfig):
-    if config.layout == "ga":
-        return construct_polar(config.N, config.K, config.method, config.design_snr_db)
-    return construct_fast_polar(config.N, config.K, config.method, config.design_snr_db)
+    build = construct_polar if config.layout == "ga" else construct_fast_polar
+    return build(config.N, config.K, config.method, config.design_snr_db)
 
 
 def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
@@ -216,48 +209,37 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     return frames, int(np.count_nonzero(errors)), int(errors.sum())
 
 
+def _pooled(jobs, workers: int):
+    """Yield _chunk_counts of each job in order from a pool of workers processes kept
+    at most workers chunks ahead; dropping the stream shuts the pool down and cancels the rest."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        ahead = [pool.submit(_chunk_counts, *job) for job in islice(jobs, workers)]
+        while ahead:
+            counts = ahead.pop(0).result()
+            ahead.extend(pool.submit(_chunk_counts, *job) for job in islice(jobs, 1))
+            yield counts
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_point(code, config: SimConfig, snr_db: float, point_idx: int) -> BlerRecord:
+    # Chunks are consumed in index order, each with its own seed, so every
+    # counter is independent of the worker count; the stream ends at max_frames.
+    starts = range(0, config.max_frames, config.chunk_frames)
+    jobs = ((code, config, snr_db, point_idx, i,
+             min(config.chunk_frames, config.max_frames - lo)) for i, lo in enumerate(starts))
+    workers = min(config.workers, len(starts))
+    stream = _pooled(jobs, workers) if workers > 1 else starmap(_chunk_counts, jobs)
     frames = frame_errors = bit_errors = 0
-
-    def chunk_size(i: int) -> int:
-        return max(0, min(config.chunk_frames, config.max_frames - i * config.chunk_frames))
-
-    def stopped() -> bool:
-        return frame_errors >= config.target_errors or frames >= config.max_frames
-
-    if config.workers <= 1:
-        i = 0
-        while not stopped() and chunk_size(i) > 0:
-            n, fe, be = _chunk_counts(code, config, snr_db, point_idx, i, chunk_size(i))
-            frames += n
-            frame_errors += fe
-            bit_errors += be
-            i += 1
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Chunks are consumed strictly in index order so the included set,
-        # and therefore every counter, is independent of the worker count.
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures: dict = {}
-            submitted = consumed = 0
-            while True:
-                while submitted < consumed + config.workers and chunk_size(submitted) > 0:
-                    futures[submitted] = pool.submit(
-                        _chunk_counts, code, config, snr_db, point_idx,
-                        submitted, chunk_size(submitted))
-                    submitted += 1
-                if consumed not in futures:
-                    break
-                n, fe, be = futures.pop(consumed).result()
-                consumed += 1
-                frames += n
-                frame_errors += fe
-                bit_errors += be
-                if stopped():
-                    break
-            for future in futures.values():
-                future.cancel()
+    for n, fe, be in stream:
+        frames += n
+        frame_errors += fe
+        bit_errors += be
+        if frame_errors >= config.target_errors:
+            break
 
     bits = frames * code.K
     return BlerRecord(

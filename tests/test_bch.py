@@ -205,6 +205,33 @@ def test_node_decode_falls_back_to_hard_word():
     assert set(np.unique(out)) <= {0, 1}
 
 
+@pytest.mark.parametrize("name", ["bch_t2", "bch_t1"])
+def test_bch_functions_take_a_tag_string(name):
+    tag, other = PatternTag(name), ({*BCH_CODES} - {PatternTag(name)}).pop()
+    messages = _all_messages(tag)
+    assert np.array_equal(bch_encode(messages, name), bch_encode(messages, tag))
+    words = np.random.default_rng(5).integers(0, 2, size=(256, 15), dtype=np.uint8)
+    for got, want in zip(bch_decode_hard(words, name), bch_decode_hard(words, tag)):
+        assert np.array_equal(got, want)
+    # the string decodes as its own code, not as the other one
+    alpha = np.random.default_rng(6).normal(1.0, 1.0, size=(256, 16))
+    decoded = bch_node_decode(alpha, name)
+    assert np.array_equal(decoded, bch_node_decode(alpha, tag))
+    assert not np.array_equal(decoded, bch_node_decode(alpha, other))
+
+
+@pytest.mark.parametrize("tag", [PatternTag.REP, "nope", "rep", None,
+                                 pytest.param(["bch_t2"], id="list")])
+def test_bch_functions_reject_other_tags_naming_the_bch_tags(tag):
+    calls = (lambda: bch_encode(np.zeros(7, dtype=np.uint8), tag),
+             lambda: bch_decode_hard(np.zeros(15, dtype=np.uint8), tag),
+             lambda: bch_node_decode(np.ones(16), tag))
+    for call in calls:
+        with pytest.raises(ValueError, match="bch_t2, bch_t1") as error:
+            call()
+        assert repr(tag) in str(error.value)
+
+
 def test_encode_rejects_bad_message_length():
     with pytest.raises(ValueError):
         bch_encode(np.zeros(8, dtype=np.uint8), PatternTag.BCH_T2)

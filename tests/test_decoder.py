@@ -403,7 +403,7 @@ def test_terminal_nodes_match_their_table_shape():
 def _check_terminal_shapes(steps, mask):
     # the node steps' spans tile the layout in decode order, each with its tag's shape
     end = 0
-    for kind, stage, _, _, node in steps:
+    for kind, stage, node in steps:
         if kind == decoder._NODE:
             span = node.span[-1]
             assert (span.start, span.stop - span.start) == (end, 1 << stage), node
@@ -751,7 +751,7 @@ def test_plan_runs_three_step_kinds_with_the_partial_sums_in_the_node_step():
             else:
                 folded.append(step + ([],) if step[0] == "NODE" else step)
         compiled = []
-        for kind, stage, x, y, z in plan.steps:
+        for kind, stage, z in plan.steps:
             if kind == decoder._NODE:
                 start, end = _span(z.span)
                 xors = [(*_span(left), *_span(right)) for left, right in z.xors]

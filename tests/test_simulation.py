@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import json
 import math
 import subprocess
@@ -278,10 +280,80 @@ def test_run_bler_is_deterministic():
     assert c != a
 
 
-def test_run_bler_worker_count_does_not_change_results():
-    serial = run_bler(_tiny_config())
-    parallel = run_bler(_tiny_config(workers=3))
-    assert serial == parallel
+# Two points that target_errors stops mid-stream, after 5 and 18 chunks, and one
+# frame budget whose last chunk is short: 150 frames in chunks of 64, 64 and 22.
+_STOP_CASES = {
+    "target_errors": dict(snr_grid_db=(5.0, 6.0), chunk_frames=32, max_frames=4000),
+    "short_last_chunk": dict(snr_grid_db=(30.0,), max_frames=150, chunk_frames=64),
+}
+
+
+@pytest.mark.parametrize("case", _STOP_CASES)
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_bler_worker_count_does_not_change_results(workers, case):
+    serial = run_bler(_tiny_config(**_STOP_CASES[case]))
+    if case == "target_errors":
+        assert all(20 <= r.frame_errors and 4 * 32 < r.frames < 4000 for r in serial)
+    else:
+        assert serial[0].frames == 150
+    assert run_bler(_tiny_config(workers=workers, **_STOP_CASES[case])) == serial
+
+
+def test_one_worker_or_one_chunk_creates_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    configs = [_tiny_config(snr_grid_db=(30.0,), max_frames=150),  # one worker, three chunks
+               _tiny_config(workers=4, max_frames=64),  # max_frames <= chunk_frames: one chunk
+               _tiny_config(workers=4, max_frames=40)]
+    expected = [run_bler(dataclasses.replace(config, workers=1)) for config in configs]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert [run_bler(config) for config in configs] == expected
+
+
+class _ThreadPool(concurrent.futures.ThreadPoolExecutor):
+    """A process pool stand-in that runs chunks on threads and records its size,
+    the most chunks it ever held submitted but not yet read, and its shutdown."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.max_workers, self.unread, self.most_unread = max_workers, 0, 0
+        self.cancel_futures = None
+        _ThreadPool.created.append(self)
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self.unread += 1
+        self.most_unread = max(self.most_unread, self.unread)
+        result = future.result
+
+        def read(timeout=None):
+            self.unread -= 1
+            return result(timeout)
+
+        future.result = read
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.cancel_futures = cancel_futures
+        super().shutdown(wait, cancel_futures=cancel_futures)
+
+
+@pytest.mark.parametrize("workers, max_frames", [(2, 4000), (3, 4000), (8, 150), (8, 4000)])
+def test_pool_holds_min_of_workers_and_chunks_and_stays_workers_ahead(
+        monkeypatch, workers, max_frames):
+    config = _tiny_config(snr_grid_db=(5.0, 6.0), chunk_frames=32, max_frames=max_frames)
+    serial = run_bler(config)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ThreadPool)
+    monkeypatch.setattr(_ThreadPool, "created", [])
+    assert run_bler(dataclasses.replace(config, workers=workers)) == serial
+    chunks = -(-max_frames // 32)
+    assert [pool.max_workers for pool in _ThreadPool.created] == [min(workers, chunks)] * 2
+    for pool in _ThreadPool.created:
+        assert 1 <= pool.most_unread <= workers
+        assert pool.cancel_futures is True
 
 
 def test_run_bler_stops_after_target_errors():
