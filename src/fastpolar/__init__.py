@@ -34,7 +34,7 @@ from .decoder import (
     parallel_min_mask,
 )
 from .encoder import encode, polar_transform
-from .oracle import NodeCodebook, enumerate_codebook, ml_decode, sc_decode_baseline
+from .oracle import enumerate_codebook, ml_decode, sc_decode_baseline
 from .simulation import (
     BlerRecord,
     SimConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "InfeasibleConstructionError",
     "MAX_WIDTH",
     "MIN_WIDTH",
-    "NodeCodebook",
     "PatternLimits",
     "PatternTag",
     "QuantizedLLR",

@@ -10,29 +10,29 @@ T1_REPEATED_POSITION = 14
 _T1_FOLD = np.array([T1_REPEATED_POSITION, 15])  # the two positions a T1 node folds
 
 
-def _systematic_codeword(message: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(15, k) systematic codeword, message in the high-degree positions."""
-    nk = len(g) - 1
-    c = np.zeros(15, dtype=np.uint8)
-    c[nk:] = message
-    rem = c.copy()
-    for i in range(14, nk - 1, -1):
-        if rem[i]:
-            rem[i - nk:i + 1] ^= g
-    c[:nk] = rem[:nk]
-    return c
+def _codebook(tag: PatternTag) -> np.ndarray:
+    """(2^k, 16) extended codewords: row m carries the message whose bit j is bit j
+    of m at systematic position 15 - k + j, its remainder mod the generator below."""
+    g, k = np.array(BCH_CODES[tag][0], dtype=np.uint8), info_count(tag)
+    nk = 15 - k
+    words = np.zeros((1 << k, 16), dtype=np.uint8)
+    words[:, nk:15] = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    rem = words[:, :15].copy()
+    for i in range(14, nk - 1, -1):  # long division of every message at once
+        rem[:, i - nk:i + 1] ^= rem[:, i:i + 1] * g
+    words[:, :nk] = rem[:, :nk]
+    words[:, 15] = (words[:, T1_REPEATED_POSITION] if tag is PatternTag.BCH_T1
+                    else np.bitwise_xor.reduce(words[:, :15], axis=1))
+    words.setflags(write=False)
+    return words
 
 
-def _generator_matrix(tag: PatternTag) -> np.ndarray:
-    """k x 16 systematic generator including the extension column."""
-    g = np.array(BCH_CODES[tag][0], dtype=np.uint8)
-    c15 = np.array([_systematic_codeword(unit, g)
-                    for unit in np.eye(info_count(tag), dtype=np.uint8)])
-    ext = c15[:, T1_REPEATED_POSITION] if tag is PatternTag.BCH_T1 else c15.sum(axis=1) % 2
-    return np.column_stack([c15, ext]).astype(np.uint8)
+# The one codeword table of each BCH code, read by the encoder, the decoding
+# table and the ML oracle.
+CODEBOOKS = {tag: _codebook(tag) for tag in BCH_CODES}
 
-
-_GENERATOR_MATRICES = {tag: _generator_matrix(tag) for tag in BCH_CODES}
+# Bit j of a table index is word position j, or message bit j.
+_INDEX_WEIGHTS = 1 << np.arange(15, dtype=np.intp)
 _BCH_TAG_OF = {key: tag for tag in BCH_CODES for key in (tag, tag.value)}
 
 
@@ -53,25 +53,18 @@ def bch_encode(message: np.ndarray, tag: PatternTag) -> np.ndarray:
     message value is a 1, as in encode.
     """
     tag = _bch_tag(tag)
-    message, matrix = np.asarray(message), _GENERATOR_MATRICES[tag]
-    if message.shape[-1] != len(matrix):
-        raise ValueError(f"{tag.value} message length must be {len(matrix)}, "
-                         f"got {message.shape[-1]}")
-    return ((message != 0).view(np.uint8) @ matrix) % 2
-
-
-# Bit j of a table index is word position j.
-_INDEX_WEIGHTS = 1 << np.arange(15, dtype=np.intp)
+    message, k = np.asarray(message), info_count(tag)
+    if message.shape[-1] != k:
+        raise ValueError(f"{tag.value} message length must be {k}, got {message.shape[-1]}")
+    return CODEBOOKS[tag].take((message != 0) @ _INDEX_WEIGHTS[:k], axis=0)
 
 
 def _decoding_table(tag: PatternTag):
     """Bounded-distance decoding tables (corrected, ok) over all 2^15 words: a word
     within distance t of a codeword maps to it with ok True, any other to itself."""
-    # row i holds the bits of i, so its first 2^k rows cut to k columns are the messages
     byte_pairs = np.arange(1 << 15, dtype="<u2").view(np.uint8).reshape(-1, 2)
     words = np.unpackbits(byte_pairs, axis=1, bitorder="little")[:, :15]
-    k = info_count(tag)
-    codewords = bch_encode(words[:2 ** k, :k], tag)[:, :15] @ _INDEX_WEIGHTS
+    codewords = CODEBOOKS[tag][:, :15] @ _INDEX_WEIGHTS
     errors = np.flatnonzero(words.sum(axis=1) <= BCH_CODES[tag][1])
     received = (codewords[:, None] ^ errors).ravel()
     hits = np.bincount(received, minlength=1 << 15)
@@ -103,10 +96,7 @@ def bch_decode_hard(word: np.ndarray, tag: PatternTag):
             raise ValueError("BCH words must hold only 0 and 1")
         word = word.astype(np.uint8, copy=False)
     index = word @ _INDEX_WEIGHTS
-    try:
-        corrected, ok = _DECODING_TABLES[tag]
-    except (KeyError, TypeError):  # a string or a bad tag: the PatternTag path does no more
-        corrected, ok = _DECODING_TABLES[_bch_tag(tag)]
+    corrected, ok = _DECODING_TABLES[_bch_tag(tag)]
     return corrected.take(index, axis=0), ok[index]
 
 

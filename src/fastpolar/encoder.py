@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bch import bch_encode
-from .core import BCH_CODES, SEGMENT_SIZE, CodeSpec, PatternTag, _is_power_of_two, info_count
+from .bch import CODEBOOKS, bch_encode  # noqa: F401 (bench/tracing.py patches it)
+from .core import SEGMENT_SIZE, CodeSpec, _is_power_of_two, info_count
 
 
 def _transform_stages(x: np.ndarray, h: int = 1) -> np.ndarray:
@@ -72,15 +72,8 @@ def info_gather(code: CodeSpec) -> np.ndarray:
     return positions - np.isin(positions // SEGMENT_SIZE, list(code.bch_segments))
 
 
-def _transformed_codewords(tag: PatternTag) -> np.ndarray:
-    """(2^k, 16) u-blocks: row m is the transform of the extended codeword whose
-    message bit j is bit j of m."""
-    k = info_count(tag)
-    messages = np.arange(1 << k)[:, None] >> np.arange(k) & 1
-    return polar_transform(bch_encode(messages, tag))
-
-
-_BCH_U_BLOCKS = {tag: _transformed_codewords(tag) for tag in BCH_CODES}
+# Row m of a code's table is the u-block of its codeword row m in bch.CODEBOOKS.
+_BCH_U_BLOCKS = {tag: polar_transform(words) for tag, words in CODEBOOKS.items()}
 
 
 def encode(code: CodeSpec, info: np.ndarray) -> np.ndarray:

@@ -2,40 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bch import bch_encode
-from .core import BCH_TAGS, CodeSpec, PatternTag, hard_decision, info_count, node_frozen_mask
+from .bch import CODEBOOKS
+from .core import BCH_TAGS, CodeSpec, PatternTag, hard_decision, node_frozen_mask
 from .decoder import f_check, g_bit
 from .encoder import polar_transform
 
 _MAX_ENUM_BITS = 16
 
 
-@dataclass(frozen=True)
-class NodeCodebook:
-    """All valid codewords of one pattern node."""
-
-    kind: PatternTag
-    M: int
-    codewords: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.codewords) != len({tuple(w) for w in self.codewords}):
-            raise ValueError("codebook contains duplicate words")
-
-
-def enumerate_codebook(kind, M: int) -> NodeCodebook:
-    """Every valid M-bit word of a node kind, generated by sweeping the free u bits."""
+def enumerate_codebook(kind, M: int) -> np.ndarray:
+    """Every valid M-bit word of a node kind, one per row in lexicographic order;
+    a BCH kind reads its code's table, any other sweeps the free u bits."""
     kind = PatternTag(kind)
     if kind in BCH_TAGS:
         if M != 16:
             raise ValueError("BCH nodes have length 16")
-        k = info_count(kind)
-        messages = ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-        return NodeCodebook(kind, M, _lex_sorted(bch_encode(messages, kind)))
+        return _lex_sorted(CODEBOOKS[kind])
     mask = node_frozen_mask(kind, M)
     k = int(M - mask.sum())
     if k > _MAX_ENUM_BITS:
@@ -43,7 +27,7 @@ def enumerate_codebook(kind, M: int) -> NodeCodebook:
     u = np.zeros((2 ** k, M), dtype=np.uint8)
     free = np.flatnonzero(~mask)
     u[:, free] = (np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1
-    return NodeCodebook(kind, M, _lex_sorted(polar_transform(u)))
+    return _lex_sorted(polar_transform(u))
 
 
 def _lex_sorted(words: np.ndarray) -> np.ndarray:
@@ -52,11 +36,10 @@ def _lex_sorted(words: np.ndarray) -> np.ndarray:
     return words[np.argsort(words @ weights)]
 
 
-def ml_decode(codebook: NodeCodebook, alpha: np.ndarray) -> np.ndarray:
-    """Exhaustive maximum-correlation decode of (..., M) LLRs; ties go to the
-    lexicographically smallest codeword."""
+def ml_decode(words: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Exhaustive maximum-correlation decode of (..., M) LLRs over the codewords
+    enumerate_codebook gives; ties go to the lexicographically smallest one."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    words = codebook.codewords
     metrics = alpha @ (1.0 - 2.0 * words).T
     best = metrics.max(axis=-1, keepdims=True)
     # Codebooks are pre-sorted lexicographically, so among tied metrics the

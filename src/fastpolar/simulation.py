@@ -17,7 +17,7 @@ from .core import QuantizedLLR, _clip, _is_integer, saturation_limit
 from .decoder import _block_frames, fast_sc_decode
 from .encoder import encode
 
-_MODULATIONS = ("bpsk", "qpsk")
+_MODULATIONS = {"bpsk": 1, "qpsk": 2}  # bits per symbol
 _LAYOUTS = ("ga", "fast")
 _ARITHMETIC = ("float", "fixed")
 # LLRs quantize_channel rounds at a time: a 256 kB float64 block stays in cache.
@@ -72,7 +72,7 @@ class SimConfig:
 
 
 _INT_FIELDS = tuple(name for name, kind in get_type_hints(SimConfig).items() if kind is int)
-_CHOICES = {"layout": _LAYOUTS, "modulation": _MODULATIONS, "arithmetic": _ARITHMETIC}
+_CHOICES = {"layout": _LAYOUTS, "modulation": tuple(_MODULATIONS), "arithmetic": _ARITHMETIC}
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,23 @@ def noise_variance(snr_db: float, modulation: str) -> float:
     snr_db is Es/N0 per modulated symbol; a QPSK symbol spreads unit energy
     over two dimensions, which doubles the normalized per-dimension variance.
     """
-    if modulation not in _MODULATIONS:
-        raise ValueError(f"modulation must be one of {_MODULATIONS}")
-    gamma = 10.0 ** (snr_db / 10.0)
-    return 1.0 / (2.0 * gamma) if modulation == "bpsk" else 1.0 / gamma
+    return _bits_per_symbol(modulation) / (2.0 * 10.0 ** (snr_db / 10.0))
 
 
 def eb_n0_db(snr_db: float, rate: float, modulation: str) -> float:
     """Convert Es/N0 to Eb/N0 for the given code rate."""
-    bits_per_symbol = 1 if modulation == "bpsk" else 2
+    bits_per_symbol = _bits_per_symbol(modulation)
     if rate <= 0:
         return float("nan")
     return snr_db - 10.0 * math.log10(bits_per_symbol * rate)
+
+
+def _bits_per_symbol(modulation: str) -> int:
+    try:
+        return _MODULATIONS[modulation]
+    except (KeyError, TypeError):
+        raise ValueError(f"modulation must be one of {tuple(_MODULATIONS)}, "
+                         f"got {modulation!r}") from None
 
 
 def transmit(codeword, snr_db, modulation, rng, zero_noise: bool = False) -> np.ndarray:

@@ -361,7 +361,7 @@ def test_node_decoders_are_ml_in_fixed_point(tag):
             if tag is PatternTag.PCR:
                 limit //= M // 4
             # at most 2^22 metrics per ml_decode call (32 MB)
-            rows = min(3000, 2 ** 22 // len(codebook.codewords))
+            rows = min(3000, 2 ** 22 // len(codebook))
             alpha = rng.integers(-limit, limit + 1, size=(rows, M))
             fast = decode_node(tag, alpha, width=width)
             best = ml_decode(codebook, alpha)
@@ -383,7 +383,7 @@ def test_pcr_is_not_ml_once_group_sums_saturate():
 def test_new_node_outputs_satisfy_frozen_constraints(tag):
     rng = np.random.default_rng(37)
     codebook = enumerate_codebook(tag, 16)
-    words = {tuple(w) for w in codebook.codewords}
+    words = {tuple(w) for w in codebook}
     alpha = rng.normal(size=(200, 16))
     for row in decode_node(tag, alpha):
         assert tuple(row) in words

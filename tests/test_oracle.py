@@ -3,37 +3,40 @@ import pytest
 
 from fastpolar.bch import bch_encode
 from fastpolar.construction import construct_fast_polar, construct_polar
-from fastpolar.core import CodeSpec, PatternTag, info_count
+from fastpolar.core import BCH_TAGS, FAST_TAG_BY_K, CodeSpec, PatternTag, info_count
 from fastpolar.decoder import decode_node, g_bit
-from fastpolar.oracle import NodeCodebook, enumerate_codebook, ml_decode, sc_decode_baseline
+from fastpolar.oracle import enumerate_codebook, ml_decode, sc_decode_baseline
 
 
-def test_codebook_rejects_duplicates():
-    words = np.array([[0, 0], [0, 0]], dtype=np.uint8)
-    with pytest.raises(ValueError):
-        NodeCodebook(PatternTag.RATE1, 2, words)
+@pytest.mark.parametrize("tag", sorted(FAST_TAG_BY_K.values(), key=info_count))
+def test_every_codebook_has_distinct_rows_in_lexicographic_order(tag):
+    for M in (16,) if tag in BCH_TAGS else (4, 8, 16):
+        words = enumerate_codebook(tag, M)
+        assert words.shape[1] == M and words.dtype == np.uint8
+        keys = [tuple(w) for w in words.tolist()]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (tag, M)
 
 
 def test_rep_codebook():
     book = enumerate_codebook(PatternTag.REP, 4)
-    assert sorted(tuple(w) for w in book.codewords) == [(0, 0, 0, 0), (1, 1, 1, 1)]
+    assert sorted(tuple(w) for w in book) == [(0, 0, 0, 0), (1, 1, 1, 1)]
 
 
 def test_spc_codebook_is_even_weight():
     book = enumerate_codebook(PatternTag.SPC, 4)
-    assert len(book.codewords) == 8
-    assert not (book.codewords.sum(axis=1) & 1).any()
+    assert len(book) == 8
+    assert not (book.sum(axis=1) & 1).any()
 
 
 def test_rate_extremes():
-    assert len(enumerate_codebook(PatternTag.RATE0, 8).codewords) == 1
-    assert len(enumerate_codebook(PatternTag.RATE1, 4).codewords) == 16
+    assert len(enumerate_codebook(PatternTag.RATE0, 8)) == 1
+    assert len(enumerate_codebook(PatternTag.RATE1, 4)) == 16
 
 
 def test_rpc_codebook_group_parities_agree():
     book = enumerate_codebook(PatternTag.RPC, 8)
-    assert len(book.codewords) == 32
-    groups = book.codewords.reshape(-1, 2, 4)
+    assert len(book) == 32
+    groups = book.reshape(-1, 2, 4)
     parities = groups.sum(axis=1) & 1
     assert (parities == parities[:, :1]).all()
 
@@ -42,10 +45,10 @@ def test_bch_codebooks_match_encoder():
     for tag in (PatternTag.BCH_T2, PatternTag.BCH_T1):
         book = enumerate_codebook(tag, 16)
         k = info_count(tag)
-        assert len(book.codewords) == 2 ** k
+        assert len(book) == 2 ** k
         encoded = {tuple(w) for w in bch_encode(
             ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(np.uint8), tag)}
-        assert {tuple(w) for w in book.codewords} == encoded
+        assert {tuple(w) for w in book} == encoded
 
 
 def test_codebook_size_guard():
@@ -58,7 +61,7 @@ def test_codebook_size_guard():
 def test_ml_decode_recovers_noiseless_word():
     book = enumerate_codebook(PatternTag.SPC2, 8)
     rng = np.random.default_rng(14)
-    word = book.codewords[rng.integers(len(book.codewords))]
+    word = book[rng.integers(len(book))]
     alpha = (1.0 - 2.0 * word) * 5.0
     assert np.array_equal(ml_decode(book, alpha), word)
 

@@ -44,6 +44,14 @@ def test_eb_n0_conversion():
     assert math.isnan(eb_n0_db(5.0, 0.0, "bpsk"))
 
 
+@pytest.mark.parametrize("modulation", ["16qam", "QPSK", None])
+def test_eb_n0_rejects_an_unknown_modulation_like_noise_variance(modulation):
+    for convert in (lambda: eb_n0_db(7.2, 0.875, modulation),
+                    lambda: noise_variance(7.2, modulation)):
+        with pytest.raises(ValueError, match="bpsk"):
+            convert()
+
+
 def test_transmit_zero_noise_is_scaled_antipodal():
     bits = np.array([0, 1, 1, 0], dtype=np.uint8)
     rng = np.random.default_rng(0)
