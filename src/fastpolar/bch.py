@@ -54,8 +54,9 @@ def bch_encode(message: np.ndarray, tag: PatternTag) -> np.ndarray:
     """
     tag = _bch_tag(tag)
     message, k = np.asarray(message), info_count(tag)
-    if message.shape[-1] != k:
-        raise ValueError(f"{tag.value} message length must be {k}, got {message.shape[-1]}")
+    if message.shape[-1:] != (k,):
+        raise ValueError(f"expected {tag.value} messages of shape (..., {k}), "
+                         f"got shape {message.shape}")
     return CODEBOOKS[tag].take((message != 0) @ _INDEX_WEIGHTS[:k], axis=0)
 
 
@@ -89,8 +90,8 @@ def bch_decode_hard(word: np.ndarray, tag: PatternTag):
     ValueError.
     """
     word = np.asarray(word)
-    if word.shape[-1] != 15:
-        raise ValueError(f"word length must be 15, got {word.shape[-1]}")
+    if word.shape[-1:] != (15,):
+        raise ValueError(f"expected words of shape (..., 15), got shape {word.shape}")
     if word.dtype != bool:
         if not ((word == 0) | (word == 1)).all():
             raise ValueError("BCH words must hold only 0 and 1")

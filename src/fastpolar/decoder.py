@@ -218,13 +218,16 @@ _NODE_DECODERS = {
 
 def _entry_llrs(alpha: np.ndarray, width) -> np.ndarray:
     """The one entry rule of both public decoders: with a width, integer LLRs
-    clamped into its range and carried as int8; without, finite float64 LLRs."""
+    clamped into its range and carried as int8; without, finite float64 LLRs
+    from float or integer input (a complex or bool alpha raises ValueError)."""
     if width is not None:
         if alpha.dtype.kind not in "iu":
             raise ValueError("fixed-point decoding requires integer LLRs")
         if alpha.dtype.kind == "u":  # clamp before the cast, so no large value turns negative
             alpha = np.minimum(alpha, saturation_limit(width)).astype(np.int8)
         return saturate(alpha, width).astype(np.int8, copy=False)
+    if alpha.dtype.kind not in "fiu":
+        raise ValueError(f"LLRs must be float or integer, got dtype {alpha.dtype}")
     alpha = alpha.astype(np.float64, copy=False)
     if not np.isfinite(alpha).all():
         raise ValueError("LLRs must be finite: alpha holds NaN or inf")

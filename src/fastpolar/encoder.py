@@ -44,6 +44,8 @@ def polar_transform(u: np.ndarray, blocks=None) -> np.ndarray:
     each reads as its subtree codeword rather than its u-block.
     """
     u = np.asarray(u)
+    if not u.ndim:
+        raise ValueError(f"expected bits of shape (..., N), got shape {u.shape}")
     if u.dtype.kind not in "biu":
         u = u != 0
     N = u.shape[-1]
@@ -85,8 +87,8 @@ def encode(code: CodeSpec, info: np.ndarray) -> np.ndarray:
     segment's subtree code bits equal that codeword.
     """
     info = np.asarray(info)
-    if info.shape[-1] != code.K:
-        raise ValueError(f"info length must be {code.K}, got {info.shape[-1]}")
+    if info.shape[-1:] != (code.K,):
+        raise ValueError(f"expected info bits of shape (..., {code.K}), got shape {info.shape}")
     if info.dtype != np.uint8:
         info = (info != 0).view(np.uint8)
     u = np.zeros(info.shape[:-1] + (code.N,), dtype=np.uint8)

@@ -21,6 +21,9 @@ _MODULATIONS = {"bpsk": 1, "qpsk": 2}  # bits per symbol
 _LAYOUTS = ("ga", "fast")
 _ARITHMETIC = ("float", "fixed")
 # LLRs quantize_channel rounds at a time: a 256 kB float64 block stays in cache.
+# run_bler's fixed-point channel transmits _QUANTIZE_BLOCK // N frames at a time
+# (32 at N = 1024), so its float64 LLRs fill one such block, beside the chunk's
+# packed messages (drawn in one call per chunk) and one decode block's arrays.
 _QUANTIZE_BLOCK = 1 << 15
 
 
@@ -179,25 +182,32 @@ def _build_layout(config: SimConfig):
 def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
                   chunk_idx: int, frames: int):
     """Simulate one deterministic chunk; returns (frames, frame_errors, bit_errors).
-    Encode, channel and decode run one decode block of the LLR dtype at a time
-    (decoder._block_frames: 256 float64 or 1024 int8 frames at N = 1024), and
-    the fixed-point channel runs a float64 block's worth of frames at a time
-    into the block's int8 LLRs, so no float64 array outgrows the byte budget.
-    The noise is drawn in frame order, so the LLRs are those of a whole-chunk
-    transmit."""
+
+    The messages are drawn in one call, since drawing them in pieces would
+    depend on numpy's byte buffering, and packed at once, K/8 bytes a frame.
+    Encode, channel, decode and error count then run one decode block of the
+    LLR dtype at a time (decoder._block_frames: 256 float64 or 1024 int8
+    frames at N = 1024), each unpacking only its own messages; the fixed-point
+    channel runs _QUANTIZE_BLOCK // N frames at a time into the block's int8
+    LLRs. Bit errors are counted on packed bytes. The noise is drawn in frame
+    order, so the LLRs are those of a whole-chunk transmit."""
     seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
     rng = np.random.default_rng(seed)
-    messages = rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8)
+    messages = np.packbits(rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8), axis=-1)
+    # ones[b] counts the set bits of byte b (np.bitwise_count needs numpy 2)
+    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=-1)
+    ones = ones.sum(axis=-1, dtype=np.uint8)
     fixed = config.arithmetic == "fixed"
+    width = config.q_int if fixed else None
     scale = config.llr_scale
     if fixed and scale is None:
         scale = default_llr_scale(config.q_ch, snr_db, config.modulation)
-    channel_frames = _block_frames(code.N, np.float64)
-    block_frames = _block_frames(code.N, np.int8) if fixed else channel_frames
+    channel_frames = max(1, _QUANTIZE_BLOCK // code.N)
+    block_frames = _block_frames(code.N, np.int8 if fixed else np.float64)
     errors = np.empty(frames, dtype=np.int64)  # bit errors per frame
     for lo in range(0, frames, block_frames):
         block = slice(lo, lo + block_frames)
-        codewords = encode(code, messages[block])
+        codewords = encode(code, np.unpackbits(messages[block], axis=-1, count=code.K))
         if fixed:
             llr = np.empty(codewords.shape, dtype=np.int8)
             for start in range(0, len(llr), channel_frames):
@@ -208,9 +218,9 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
         else:
             llr = transmit(codewords, snr_db, config.modulation, rng,
                            zero_noise=config.zero_noise)
-        decoded = fast_sc_decode(code, llr, width=config.q_int if fixed else None)
-        # a uint16 sum of the bools (K <= 1024 fits) is 3-5x faster than count_nonzero
-        errors[block] = (decoded.info_bits != messages[block]).sum(axis=-1, dtype=np.uint16)
+        del codewords  # the decode needs only the LLRs
+        decoded = np.packbits(fast_sc_decode(code, llr, width=width).info_bits, axis=-1)
+        errors[block] = ones.take(decoded ^ messages[block]).sum(axis=-1)
     return frames, int(np.count_nonzero(errors)), int(errors.sum())
 
 

@@ -242,6 +242,14 @@ def test_bch_functions_reject_other_tags_naming_the_bch_tags(tag):
 def test_encode_rejects_bad_message_length():
     with pytest.raises(ValueError):
         bch_encode(np.zeros(8, dtype=np.uint8), PatternTag.BCH_T2)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 7\), got shape \(\)"):
+        bch_encode(np.uint8(1), PatternTag.BCH_T2)
+
+
+@pytest.mark.parametrize("tag", list(BCH_CODES))
+def test_decode_hard_rejects_a_0d_word_naming_the_shape(tag):
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 15\), got shape \(\)"):
+        bch_decode_hard(np.uint8(1), tag)
 
 
 @pytest.mark.parametrize("tag", [PatternTag.BCH_T1, PatternTag.BCH_T2])

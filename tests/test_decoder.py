@@ -899,3 +899,14 @@ def test_fast_sc_decode_rejects_non_finite_llrs(bad):
     batch[5, 40], batch[5, 8] = np.inf, -np.inf
     with pytest.raises(ValueError, match="finite"):
         fast_sc_decode(code, batch)
+
+
+@pytest.mark.parametrize("dtype", [complex, bool])
+def test_float_decoding_rejects_llrs_neither_float_nor_integer(dtype):
+    # a complex LLR would lose its imaginary part, a bool one read as 0 or 1
+    code = construct_fast_polar(64, 48, "ga")
+    name = np.dtype(dtype).name
+    with pytest.raises(ValueError, match=f"dtype {name}"):
+        fast_sc_decode(code, np.ones(64, dtype))
+    with pytest.raises(ValueError, match=f"dtype {name}"):
+        decode_node("spc", np.ones(4, dtype))

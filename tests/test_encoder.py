@@ -149,6 +149,11 @@ def test_transform_rejects_bad_length():
         polar_transform(np.zeros(6, dtype=np.uint8))
 
 
+def test_transform_rejects_a_0d_input_naming_the_shape():
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., N\), got shape \(\)"):
+        polar_transform(np.uint8(1))
+
+
 def test_encode_plain_places_message_ascending():
     spec = CodeSpec(N=8, K=3, info_set=frozenset({3, 5, 7}))
     info = np.array([1, 0, 1], dtype=np.uint8)
@@ -171,6 +176,13 @@ def test_encode_rejects_wrong_message_length():
     spec = construct_polar(64, 32, "ga")
     with pytest.raises(ValueError):
         encode(spec, np.zeros(31, dtype=np.uint8))
+
+
+def test_encode_rejects_a_0d_input_naming_the_shape():
+    spec = construct_polar(64, 32, "ga")
+    for info in (1, np.uint8(0)):
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 32\), got shape \(\)"):
+            encode(spec, info)
 
 
 def test_encode_fast_without_bch_matches_plain():

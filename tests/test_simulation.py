@@ -212,8 +212,13 @@ def test_run_bler_blocks_follow_the_byte_budget_and_match_one_shot_chunks(monkey
     monkeypatch.setattr(simulation, "transmit",
                         lambda bits, *a, **kw: channel.append(len(bits)) or send(bits, *a, **kw))
     records = run_bler(config)
-    # the float64 channel always runs a float block's worth of frames at a time
-    assert channel == ([256] * 4 + [76]) * 4
+    # the float channel transmits a decode block at a time, the fixed-point
+    # one a quantizer block of frames, 32 at N = 1024
+    if arithmetic == "float":
+        assert channel == ([256] * 4 + [76]) * 4
+    else:
+        assert simulation._QUANTIZE_BLOCK // 1024 == 32
+        assert channel == ([32] * 34 + [12]) * 4
     block = float_block if arithmetic == "float" else int8_block
     assert batches == ([block] * (1100 // block) + [1100 % block]) * 4
     assert records[0].frame_errors > 0 and records[1].frames == 2200
@@ -221,18 +226,38 @@ def test_run_bler_blocks_follow_the_byte_budget_and_match_one_shot_chunks(monkey
     assert run_bler(config) == records
 
 
-def test_a_float_decode_block_stays_within_the_byte_budget():
-    config = SimConfig(N=1024, K=896, snr_grid_db=(7.2,), chunk_frames=1024)
+@pytest.mark.parametrize("layout, N, K", [("fast", 64, 45), ("fast", 32, 13),
+                                           ("fast", 64, 37), ("ga", 64, 45)])
+@pytest.mark.parametrize("arithmetic", ["float", "fixed"])
+def test_packed_error_counts_match_one_shot_chunks(monkeypatch, arithmetic, layout, N, K):
+    # K not a multiple of 8, N below 64, BCH-T1, BCH-T2 and BCH-free layouts,
+    # and 1100-frame chunks: a full 1024-frame decode block and a partial one
+    config = SimConfig(N=N, K=K, snr_grid_db=(1.0, 3.0), layout=layout, arithmetic=arithmetic,
+                       max_frames=2200, target_errors=10 ** 6, chunk_frames=1100, rng_seed=41)
+    assert decoder._block_frames(N, np.float64) == decoder._block_frames(N, np.int8) == 1024
+    assert bool(simulation._build_layout(config).bch_segments) == (layout == "fast")
+    records = run_bler(config)
+    assert all(r.frames == 2200 and 0 < r.frame_errors < r.bit_errors for r in records)
+    monkeypatch.setattr(simulation, "_chunk_counts", _one_shot_chunk)
+    assert run_bler(config) == records
+
+
+@pytest.mark.parametrize("arithmetic, bound", [("float", 7.5e6), ("fixed", 10.5e6)],
+                         ids=["float", "fixed"])
+def test_a_chunk_stays_within_its_memory_bound(arithmetic, bound):
+    config = SimConfig(N=1024, K=896, snr_grid_db=(7.2,), arithmetic=arithmetic,
+                       chunk_frames=4096)
     code = simulation._build_layout(config)
-    simulation._chunk_counts(code, config, 7.2, 0, 0, 1024)  # compiles the plan first
+    simulation._chunk_counts(code, config, 7.2, 0, 0, 32)  # compiles the plan first
     tracemalloc.start()
     try:
-        simulation._chunk_counts(code, config, 7.2, 0, 1, 1024)
+        simulation._chunk_counts(code, config, 7.2, 0, 1, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a 1024-frame float64 block peaked at 23 MB: 8 MB of LLRs, 8 MB of stage memory
-    assert peak < 12e6
+    # 6.2 MB in float and 7.0 MB in fixed point; messages held a byte per bit,
+    # a (frames, K) bool error array and 2 MB float64 channel slices took 10.1 and 15.0 MB
+    assert peak < bound
 
 
 def test_sim_config_validation():
