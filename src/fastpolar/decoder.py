@@ -219,12 +219,18 @@ _NODE_DECODERS = {
 def _entry_llrs(alpha: np.ndarray, width) -> np.ndarray:
     """The one entry rule of both public decoders: with a width, integer LLRs
     clamped into its range and carried as int8; without, finite float64 LLRs
-    from float or integer input (a complex or bool alpha raises ValueError)."""
+    from float or integer input (a complex or bool alpha raises ValueError).
+    int8 LLRs already in the width's range, like float64 ones, pass through
+    uncopied: no decoder writes into its input."""
     if width is not None:
         if alpha.dtype.kind not in "iu":
             raise ValueError("fixed-point decoding requires integer LLRs")
+        limit = saturation_limit(width)
+        if alpha.dtype == np.int8 and -limit <= np.minimum.reduce(alpha, axis=None, initial=0) \
+                and np.maximum.reduce(alpha, axis=None, initial=0) <= limit:
+            return alpha
         if alpha.dtype.kind == "u":  # clamp before the cast, so no large value turns negative
-            alpha = np.minimum(alpha, saturation_limit(width)).astype(np.int8)
+            alpha = np.minimum(alpha, limit).astype(np.int8)
         return saturate(alpha, width).astype(np.int8, copy=False)
     if alpha.dtype.kind not in "fiu":
         raise ValueError(f"LLRs must be float or integer, got dtype {alpha.dtype}")
@@ -269,12 +275,13 @@ def _decode_terminal(node: _Terminal, alpha, width, bits) -> None:
 
 _F, _G, _NODE = range(3)
 # A decode block, which run_bler also streams each chunk in, holds at most
-# _BLOCK_FRAMES frames and at most _BLOCK_BYTES of LLRs: at N = 1024 that is
-# 1024 int8 frames or 256 float64 ones. Its stage memory, about as large as
-# its LLRs, then stays in a 2 MB L2 cache while the plan walks it, and big
-# batches keep a small heap.
+# _BLOCK_FRAMES frames and at most _BLOCK_BYTES (1 MiB) of LLRs: at N = 1024
+# that is 1024 int8 frames or 128 float64 ones. Its LLRs and its stage memory,
+# about as large again, then stay in a 2 MB L2 cache while the plan walks
+# them, and big batches keep a small heap. run_bler draws each block's noise
+# on one helper thread, one transmit call ahead, into a second buffer.
 _BLOCK_FRAMES = 1024
-_BLOCK_BYTES = 2 << 20
+_BLOCK_BYTES = 1 << 20
 
 
 def _block_frames(N: int, dtype) -> int:
@@ -390,6 +397,7 @@ def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
     memory = np.empty(min(len(frames), block) * (code.N - 1), dtype=alpha.dtype)
     for lo in range(0, len(frames), block):
         _run_plan(plan, frames[lo:lo + block], frame_bits[lo:lo + block], width, memory)
+    del memory  # the read-out below needs only the bits
     # take, unlike [..., gather] indexing, returns C-ordered bits (7x faster at batch 4096)
     info_bits = polar_transform(bits, plan.bch_blocks).take(plan.gather, axis=-1)
     return DecodeResult(info_bits=info_bits, codeword_estimate=bits, stats=plan.stats)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import subprocess
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from itertools import islice, starmap
 from pathlib import Path
@@ -46,6 +48,8 @@ class SimConfig:
     target_errors: int = 100
     chunk_frames: int = 256
     rng_seed: int = 0
+    # processes that run the chunks; every chunk, in process or in a pool worker, draws its
+    # noise on one helper thread, one transmit call ahead, bit-identical to a serial draw
     workers: int = 1
     zero_noise: bool = False
 
@@ -179,6 +183,43 @@ def _build_layout(config: SimConfig):
     return build(config.N, config.K, config.method, config.design_snr_db)
 
 
+class _NoiseAhead:
+    """The chunk Generator's standard_normal for transmit, drawn one call ahead
+    on one helper thread. Calls must ask for (n, N) arrays, n running through
+    counts in order. Each draw fills one of two float64 buffers, allocated here,
+    with rng.standard_normal(out=...), which runs without the GIL, so the next
+    call's noise is drawn while the caller encodes, decodes and counts. The
+    Generator's stream is read in the same order, so every value is that of
+    serial calls. A returned array is overwritten by the draw two calls later."""
+
+    def __init__(self, rng, counts, N: int):
+        size = max(counts) * N
+        self._rng, self._buffers = rng, [np.empty(size), np.empty(size)]
+        self._shapes = ((n, N) for n in counts)
+
+    def __enter__(self):
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._submit()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.shutdown(cancel_futures=True)
+
+    def _submit(self) -> None:
+        shape = next(self._shapes, None)
+        if shape is not None:
+            out = self._buffers[0][:shape[0] * shape[1]].reshape(shape)
+            self._buffers.reverse()
+            self._pending = self._pool.submit(self._rng.standard_normal, out=out)
+
+    def standard_normal(self, shape) -> np.ndarray:
+        noise = self._pending.result()
+        if noise.shape != tuple(shape):
+            raise ValueError(f"noise drawn for shape {noise.shape}, asked for {shape}")
+        self._submit()
+        return noise
+
+
 def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
                   chunk_idx: int, frames: int):
     """Simulate one deterministic chunk; returns (frames, frame_errors, bit_errors).
@@ -186,11 +227,13 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     The messages are drawn in one call, since drawing them in pieces would
     depend on numpy's byte buffering, and packed at once, K/8 bytes a frame.
     Encode, channel, decode and error count then run one decode block of the
-    LLR dtype at a time (decoder._block_frames: 256 float64 or 1024 int8
+    LLR dtype at a time (decoder._block_frames: 128 float64 or 1024 int8
     frames at N = 1024), each unpacking only its own messages; the fixed-point
     channel runs _QUANTIZE_BLOCK // N frames at a time into the block's int8
-    LLRs. Bit errors are counted on packed bytes. The noise is drawn in frame
-    order, so the LLRs are those of a whole-chunk transmit."""
+    LLRs. Bit errors are counted on packed bytes. The noise is drawn on one
+    helper thread, one transmit call ahead (_NoiseAhead), in frame order from
+    the chunk's one Generator, so the LLRs are bit-identical to those of a
+    whole-chunk transmit, in process and in a pool worker alike."""
     seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
     rng = np.random.default_rng(seed)
     messages = np.packbits(rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8), axis=-1)
@@ -202,26 +245,35 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     scale = config.llr_scale
     if fixed and scale is None:
         scale = default_llr_scale(config.q_ch, snr_db, config.modulation)
-    channel_frames = max(1, _QUANTIZE_BLOCK // code.N)
     block_frames = _block_frames(code.N, np.int8 if fixed else np.float64)
+    # frames per transmit call: the float channel sends a decode block at a time
+    channel_frames = max(1, _QUANTIZE_BLOCK // code.N) if fixed else block_frames
+    calls = [n for block in _pieces(frames, block_frames) for n in _pieces(block, channel_frames)]
     errors = np.empty(frames, dtype=np.int64)  # bit errors per frame
-    for lo in range(0, frames, block_frames):
-        block = slice(lo, lo + block_frames)
-        codewords = encode(code, np.unpackbits(messages[block], axis=-1, count=code.K))
-        if fixed:
-            llr = np.empty(codewords.shape, dtype=np.int8)
-            for start in range(0, len(llr), channel_frames):
-                part = slice(start, start + channel_frames)
-                channel = transmit(codewords[part], snr_db, config.modulation, rng,
-                                   zero_noise=config.zero_noise)
-                llr[part] = quantize_channel(channel, config.q_ch, scale).value
-        else:
-            llr = transmit(codewords, snr_db, config.modulation, rng,
-                           zero_noise=config.zero_noise)
-        del codewords  # the decode needs only the LLRs
-        decoded = np.packbits(fast_sc_decode(code, llr, width=width).info_bits, axis=-1)
-        errors[block] = ones.take(decoded ^ messages[block]).sum(axis=-1)
+    noise = nullcontext(rng) if config.zero_noise else _NoiseAhead(rng, calls, code.N)
+    with noise as source:
+        for lo in range(0, frames, block_frames):
+            block = slice(lo, lo + block_frames)
+            codewords = encode(code, np.unpackbits(messages[block], axis=-1, count=code.K))
+            if fixed:
+                llr = np.empty(codewords.shape, dtype=np.int8)
+                for start in range(0, len(llr), channel_frames):
+                    part = slice(start, start + channel_frames)
+                    channel = transmit(codewords[part], snr_db, config.modulation, source,
+                                       zero_noise=config.zero_noise)
+                    llr[part] = quantize_channel(channel, config.q_ch, scale).value
+            else:
+                llr = transmit(codewords, snr_db, config.modulation, source,
+                               zero_noise=config.zero_noise)
+            del codewords  # the decode needs only the LLRs
+            decoded = np.packbits(fast_sc_decode(code, llr, width=width).info_bits, axis=-1)
+            errors[block] = ones.take(decoded ^ messages[block]).sum(axis=-1)
     return frames, int(np.count_nonzero(errors)), int(errors.sum())
+
+
+def _pieces(total: int, size: int) -> list:
+    """Lengths of the consecutive size-long pieces of total, the last one partial."""
+    return [min(size, total - lo) for lo in range(0, total, size)]
 
 
 def _pooled(jobs, workers: int):

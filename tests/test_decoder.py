@@ -504,6 +504,32 @@ def test_int8_llrs_decode_like_int64_and_are_left_unmodified():
         assert np.array_equal(llr, kept)
 
 
+@pytest.mark.parametrize("code", [construct_fast_polar(1024, 896), construct_polar(128, 112),
+                                  CodeSpec(N=16, K=15, info_set=set(range(1, 16)))],
+                         ids=["fast-1024", "ga-128", "spc-root"])
+def test_read_only_llrs_pass_the_entry_uncopied_and_decode_as_before(code):
+    # in-range int8 and float64 LLRs reach the plan uncopied, so no step may
+    # write into them; the bits are those of the copying entry (int64 input)
+    rng = np.random.default_rng([97, code.N])
+    info = rng.integers(0, 2, size=(40, code.K), dtype=np.uint8)
+    noisy = (1 - 2.0 * encode(code, info)) * 4 + rng.normal(size=(40, code.N)) * 3
+    cases = [(noisy, None)] + [
+        (np.clip(np.rint(noisy), -saturation_limit(w), saturation_limit(w)).astype(np.int8), w)
+        for w in (4, 5, 8)]
+    for llr, width in cases:
+        wide = llr if width is None else llr.astype(np.int64)
+        expected = fast_sc_decode(code, wide.copy(), width=width)
+        assert (expected.info_bits != info).any()
+        llr.setflags(write=False)
+        for alpha in (llr, llr[7]):
+            assert decoder._entry_llrs(alpha, width) is alpha
+        got = fast_sc_decode(code, llr, width=width)
+        assert np.array_equal(got.info_bits, expected.info_bits)
+        assert np.array_equal(got.codeword_estimate, expected.codeword_estimate)
+        row = fast_sc_decode(code, llr[7], width=width)
+        assert np.array_equal(row.codeword_estimate, expected.codeword_estimate[7])
+
+
 def test_fast_decode_rejects_input_without_a_frame_axis():
     code = construct_fast_polar(32, 28, "pw")
     for alpha, width in ((np.float64(1.0), None), (1.0, None), (np.int64(3), 5)):

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -200,9 +202,9 @@ def test_run_bler_chunks_spanning_decode_blocks_match_one_shot_chunks(monkeypatc
 @pytest.mark.parametrize("arithmetic", ["float", "fixed"])
 def test_run_bler_blocks_follow_the_byte_budget_and_match_one_shot_chunks(monkeypatch,
                                                                           arithmetic):
-    # at N = 1024 the 2 MiB budget holds 256 float64 frames but 1024 int8 ones
+    # at N = 1024 the 1 MiB budget holds 128 float64 frames but 1024 int8 ones
     float_block, int8_block = (decoder._block_frames(1024, t) for t in (np.float64, np.int8))
-    assert (float_block, int8_block) == (256, 1024)
+    assert (float_block, int8_block) == (128, 1024)
     config = SimConfig(N=1024, K=896, snr_grid_db=(6.0, 7.0), arithmetic=arithmetic,
                        max_frames=2200, target_errors=10 ** 6, chunk_frames=1100, rng_seed=37)
     batches, channel = [], []
@@ -215,7 +217,7 @@ def test_run_bler_blocks_follow_the_byte_budget_and_match_one_shot_chunks(monkey
     # the float channel transmits a decode block at a time, the fixed-point
     # one a quantizer block of frames, 32 at N = 1024
     if arithmetic == "float":
-        assert channel == ([256] * 4 + [76]) * 4
+        assert channel == ([128] * 8 + [76]) * 4
     else:
         assert simulation._QUANTIZE_BLOCK // 1024 == 32
         assert channel == ([32] * 34 + [12]) * 4
@@ -240,6 +242,64 @@ def test_packed_error_counts_match_one_shot_chunks(monkeypatch, arithmetic, layo
     assert all(r.frames == 2200 and 0 < r.frame_errors < r.bit_errors for r in records)
     monkeypatch.setattr(simulation, "_chunk_counts", _one_shot_chunk)
     assert run_bler(config) == records
+
+
+@pytest.mark.parametrize("N, block, channel", [(1024, 128, 128), (1024, 1024, 32),
+                                               (32, 1024, 1024), (16, 7, 3)])
+def test_noise_drawn_ahead_equals_one_draw_of_the_whole_schedule(N, block, channel):
+    # 1100 frames: full decode blocks, then a partial one, each sent in channel slices
+    calls = [n for b in simulation._pieces(1100, block) for n in simulation._pieces(b, channel)]
+    assert 1100 % block and sum(calls) == 1100
+    draws, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        with simulation._NoiseAhead(np.random.default_rng(59), calls, N) as source:
+            for n in calls:
+                noise = source.standard_normal((n, N))
+                draws.append(noise.copy())
+                noise *= 2.0  # transmit builds its LLRs in the returned array
+    finally:
+        sys.setswitchinterval(interval)
+    whole = np.random.default_rng(59).standard_normal((1100, N))
+    assert np.concatenate(draws).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "fixed"])
+def test_a_chunk_draws_its_noise_on_one_thread_that_ends_with_it(monkeypatch, arithmetic):
+    config = SimConfig(N=1024, K=896, snr_grid_db=(7.2,), arithmetic=arithmetic)
+    code = simulation._build_layout(config)
+    before, during = threading.active_count(), []
+    decode = simulation.fast_sc_decode
+
+    def counting(code, llr, **kw):
+        during.append(threading.active_count())
+        return decode(code, llr, **kw)
+
+    monkeypatch.setattr(simulation, "fast_sc_decode", counting)
+    simulation._chunk_counts(code, config, 7.2, 0, 0, 300)
+    assert during and set(during) == {before + 1}
+    assert threading.active_count() == before
+
+    def failing(code, llr, **kw):
+        during.append(threading.active_count())
+        raise RuntimeError("decode failed")
+
+    monkeypatch.setattr(simulation, "fast_sc_decode", failing)
+    with pytest.raises(RuntimeError, match="decode failed"):
+        simulation._chunk_counts(code, config, 7.2, 0, 0, 300)
+    assert during[-1] == before + 1 and threading.active_count() == before
+
+
+def test_a_zero_noise_chunk_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    config = _tiny_config(zero_noise=True)
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", no_thread)
+    before = threading.active_count()
+    assert simulation._chunk_counts(simulation._build_layout(config), config, 2.0, 0, 0, 100) \
+        == (100, 0, 0)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("arithmetic, bound", [("float", 7.5e6), ("fixed", 10.5e6)],
