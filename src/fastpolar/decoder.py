@@ -278,8 +278,9 @@ _F, _G, _NODE = range(3)
 # _BLOCK_FRAMES frames and at most _BLOCK_BYTES (1 MiB) of LLRs: at N = 1024
 # that is 1024 int8 frames or 128 float64 ones. Its LLRs and its stage memory,
 # about as large again, then stay in a 2 MB L2 cache while the plan walks
-# them, and big batches keep a small heap. run_bler draws each block's noise
-# on one helper thread, one transmit call ahead, into a second buffer.
+# them, and big batches keep a small heap. run_bler transmits a float64 block
+# of frames at a time, so an int8 block takes 8 calls at N = 1024, and draws
+# the noise on one helper thread up to three calls ahead, one buffer a call.
 _BLOCK_FRAMES = 1024
 _BLOCK_BYTES = 1 << 20
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import math
 import subprocess
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
-from itertools import islice, starmap
+from itertools import cycle, islice, starmap
 from pathlib import Path
 from typing import get_type_hints
 
@@ -22,10 +23,7 @@ from .encoder import encode
 _MODULATIONS = {"bpsk": 1, "qpsk": 2}  # bits per symbol
 _LAYOUTS = ("ga", "fast")
 _ARITHMETIC = ("float", "fixed")
-# LLRs quantize_channel rounds at a time: a 256 kB float64 block stays in cache.
-# run_bler's fixed-point channel transmits _QUANTIZE_BLOCK // N frames at a time
-# (32 at N = 1024), so its float64 LLRs fill one such block, beside the chunk's
-# packed messages (drawn in one call per chunk) and one decode block's arrays.
+# LLRs quantize_channel rounds at a time: its 256 kB float64 scratch block stays in cache.
 _QUANTIZE_BLOCK = 1 << 15
 
 
@@ -49,7 +47,8 @@ class SimConfig:
     chunk_frames: int = 256
     rng_seed: int = 0
     # processes that run the chunks; every chunk, in process or in a pool worker, draws its
-    # noise on one helper thread, one transmit call ahead, bit-identical to a serial draw
+    # noise on one helper thread, up to three transmit calls ahead, bit-identical to a
+    # serial draw
     workers: int = 1
     zero_noise: bool = False
 
@@ -184,36 +183,37 @@ def _build_layout(config: SimConfig):
 
 
 class _NoiseAhead:
-    """The chunk Generator's standard_normal for transmit, drawn one call ahead
-    on one helper thread. Calls must ask for (n, N) arrays, n running through
-    counts in order. Each draw fills one of two float64 buffers, allocated here,
-    with rng.standard_normal(out=...), which runs without the GIL, so the next
-    call's noise is drawn while the caller encodes, decodes and counts. The
-    Generator's stream is read in the same order, so every value is that of
-    serial calls. A returned array is overwritten by the draw two calls later."""
+    """The chunk Generator's standard_normal for transmit, drawn up to ahead
+    calls ahead on one helper thread. Calls must ask for (n, N) arrays, n
+    running through counts in order. Draw i fills buffer i mod (ahead + 1) of
+    ahead + 1 float64 buffers, allocated here, with rng.standard_normal(out=...),
+    which runs without the GIL, so later calls' noise is drawn while the caller
+    encodes, decodes and counts. Call i queues draw i + ahead into the buffer
+    of draw i - 1, so a returned array is overwritten only after the next call.
+    The helper draws in queue order, so the Generator's stream is read as by
+    serial calls, and every value is theirs."""
 
-    def __init__(self, rng, counts, N: int):
-        size = max(counts) * N
-        self._rng, self._buffers = rng, [np.empty(size), np.empty(size)]
-        self._shapes = ((n, N) for n in counts)
+    def __init__(self, rng, counts, N: int, ahead: int):
+        buffers = [np.empty(max(counts) * N) for _ in range(ahead + 1)]
+        self._outs = (b[:n * N].reshape(n, N) for n, b in zip(counts, cycle(buffers)))
+        self._rng, self._ahead, self._pending = rng, ahead, deque()
 
     def __enter__(self):
         self._pool = ThreadPoolExecutor(max_workers=1)
-        self._submit()
+        for _ in range(self._ahead):
+            self._submit()
         return self
 
     def __exit__(self, *exc) -> None:
         self._pool.shutdown(cancel_futures=True)
 
     def _submit(self) -> None:
-        shape = next(self._shapes, None)
-        if shape is not None:
-            out = self._buffers[0][:shape[0] * shape[1]].reshape(shape)
-            self._buffers.reverse()
-            self._pending = self._pool.submit(self._rng.standard_normal, out=out)
+        out = next(self._outs, None)
+        if out is not None:
+            self._pending.append(self._pool.submit(self._rng.standard_normal, out=out))
 
     def standard_normal(self, shape) -> np.ndarray:
-        noise = self._pending.result()
+        noise = self._pending.popleft().result()
         if noise.shape != tuple(shape):
             raise ValueError(f"noise drawn for shape {noise.shape}, asked for {shape}")
         self._submit()
@@ -228,12 +228,15 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     depend on numpy's byte buffering, and packed at once, K/8 bytes a frame.
     Encode, channel, decode and error count then run one decode block of the
     LLR dtype at a time (decoder._block_frames: 128 float64 or 1024 int8
-    frames at N = 1024), each unpacking only its own messages; the fixed-point
-    channel runs _QUANTIZE_BLOCK // N frames at a time into the block's int8
-    LLRs. Bit errors are counted on packed bytes. The noise is drawn on one
-    helper thread, one transmit call ahead (_NoiseAhead), in frame order from
-    the chunk's one Generator, so the LLRs are bit-identical to those of a
-    whole-chunk transmit, in process and in a pool worker alike."""
+    frames at N = 1024), each unpacking only its own messages. In both
+    arithmetics each transmit call sends one float64 decode block of frames,
+    so a fixed-point block is sent in several calls (8 at N = 1024), each
+    quantized into the block's int8 LLRs. Bit errors are counted on packed
+    bytes. The noise is drawn on one helper thread (_NoiseAhead) as many
+    calls ahead as a decode block makes, up to three, so it keeps drawing
+    through a fixed-point decode. It reads the chunk's one Generator in frame
+    order, so the LLRs are bit-identical to those of a whole-chunk transmit,
+    in process and in a pool worker alike."""
     seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
     rng = np.random.default_rng(seed)
     messages = np.packbits(rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8), axis=-1)
@@ -246,11 +249,11 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     if fixed and scale is None:
         scale = default_llr_scale(config.q_ch, snr_db, config.modulation)
     block_frames = _block_frames(code.N, np.int8 if fixed else np.float64)
-    # frames per transmit call: the float channel sends a decode block at a time
-    channel_frames = max(1, _QUANTIZE_BLOCK // code.N) if fixed else block_frames
+    channel_frames = _block_frames(code.N, np.float64)  # frames per transmit call
     calls = [n for block in _pieces(frames, block_frames) for n in _pieces(block, channel_frames)]
+    ahead = min(3, block_frames // channel_frames)  # transmit calls per decode block, capped
     errors = np.empty(frames, dtype=np.int64)  # bit errors per frame
-    noise = nullcontext(rng) if config.zero_noise else _NoiseAhead(rng, calls, code.N)
+    noise = nullcontext(rng) if config.zero_noise else _NoiseAhead(rng, calls, code.N, ahead)
     with noise as source:
         for lo in range(0, frames, block_frames):
             block = slice(lo, lo + block_frames)

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -214,13 +215,8 @@ def test_run_bler_blocks_follow_the_byte_budget_and_match_one_shot_chunks(monkey
     monkeypatch.setattr(simulation, "transmit",
                         lambda bits, *a, **kw: channel.append(len(bits)) or send(bits, *a, **kw))
     records = run_bler(config)
-    # the float channel transmits a decode block at a time, the fixed-point
-    # one a quantizer block of frames, 32 at N = 1024
-    if arithmetic == "float":
-        assert channel == ([128] * 8 + [76]) * 4
-    else:
-        assert simulation._QUANTIZE_BLOCK // 1024 == 32
-        assert channel == ([32] * 34 + [12]) * 4
+    # both channels transmit a float64 decode block of frames at a time
+    assert channel == ([128] * 8 + [76]) * 4
     block = float_block if arithmetic == "float" else int8_block
     assert batches == ([block] * (1100 // block) + [1100 % block]) * 4
     assert records[0].frame_errors > 0 and records[1].frames == 2200
@@ -244,24 +240,40 @@ def test_packed_error_counts_match_one_shot_chunks(monkeypatch, arithmetic, layo
     assert run_bler(config) == records
 
 
-@pytest.mark.parametrize("N, block, channel", [(1024, 128, 128), (1024, 1024, 32),
+@pytest.mark.parametrize("N, block, channel", [(1024, 128, 128), (1024, 1024, 128),
                                                (32, 1024, 1024), (16, 7, 3)])
 def test_noise_drawn_ahead_equals_one_draw_of_the_whole_schedule(N, block, channel):
     # 1100 frames: full decode blocks, then a partial one, each sent in channel slices
     calls = [n for b in simulation._pieces(1100, block) for n in simulation._pieces(b, channel)]
     assert 1100 % block and sum(calls) == 1100
-    draws, interval = [], sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
-    try:
-        with simulation._NoiseAhead(np.random.default_rng(59), calls, N) as source:
-            for n in calls:
-                noise = source.standard_normal((n, N))
-                draws.append(noise.copy())
-                noise *= 2.0  # transmit builds its LLRs in the returned array
-    finally:
-        sys.setswitchinterval(interval)
     whole = np.random.default_rng(59).standard_normal((1100, N))
-    assert np.concatenate(draws).tobytes() == whole.tobytes()
+    for ahead in (1, 3):
+        draws, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            with simulation._NoiseAhead(np.random.default_rng(59), calls, N, ahead) as source:
+                for n in calls:
+                    noise = source.standard_normal((n, N))
+                    draws.append(noise.copy())
+                    noise *= 2.0  # transmit builds its LLRs in the returned array
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.concatenate(draws).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("ahead", [1, 2, 3])
+def test_a_drawn_array_is_left_alone_until_the_next_call(ahead):
+    # each draw is held while the helper has time to fill every other buffer
+    calls = [128] * 10 + [76]
+    whole = np.random.default_rng(61).standard_normal((sum(calls), 64))
+    lo = 0
+    with simulation._NoiseAhead(np.random.default_rng(61), calls, 64, ahead) as source:
+        for n in calls:
+            noise = source.standard_normal((n, 64))
+            held = noise.copy()
+            time.sleep(0.02)
+            assert noise.tobytes() == held.tobytes() == whole[lo:lo + n].tobytes()
+            lo += n
 
 
 @pytest.mark.parametrize("arithmetic", ["float", "fixed"])
@@ -315,8 +327,9 @@ def test_a_chunk_stays_within_its_memory_bound(arithmetic, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 6.2 MB in float and 7.0 MB in fixed point; messages held a byte per bit,
-    # a (frames, K) bool error array and 2 MB float64 channel slices took 10.1 and 15.0 MB
+    # 4.5 MB in float and 9.2 MB in fixed point, whose noise ring holds four 1 MiB draws;
+    # messages held a byte per bit, a (frames, K) bool error array and 2 MB float64
+    # channel slices took 10.1 and 15.0 MB
     assert peak < bound
 
 
