@@ -132,8 +132,8 @@ _PARSERS = {
 def parse_sim_config(text: str) -> tuple[SimConfig, str]:
     """Parse a flat key=value config into (SimConfig, output prefix).
 
-    Blank lines and lines starting with # are skipped; unknown keys are
-    rejected by name.
+    Blank lines and lines starting with # are skipped; unknown and repeated
+    keys are rejected by name.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,6 +146,8 @@ def parse_sim_config(text: str) -> tuple[SimConfig, str]:
         key = key.strip()
         if key not in _CONFIG_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"line {lineno}: repeated config key {key!r}")
         kind = _CONFIG_TYPES[key]
         try:
             values[key] = _PARSERS.get(kind, kind)(rhs.strip())

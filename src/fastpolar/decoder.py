@@ -274,13 +274,10 @@ def _decode_terminal(node: _Terminal, alpha, width, bits) -> None:
 
 
 _F, _G, _NODE = range(3)
-# A decode block, which run_bler also streams each chunk in, holds at most
-# _BLOCK_FRAMES frames and at most _BLOCK_BYTES (1 MiB) of LLRs: at N = 1024
-# that is 1024 int8 frames or 128 float64 ones. Its LLRs and its stage memory,
-# about as large again, then stay in a 2 MB L2 cache while the plan walks
-# them, and big batches keep a small heap. run_bler transmits a float64 block
-# of frames at a time, so an int8 block takes 8 calls at N = 1024, and draws
-# the noise on one helper thread up to three calls ahead, one buffer a call.
+# A decode block holds at most _BLOCK_FRAMES frames and at most _BLOCK_BYTES
+# (1 MiB) of LLRs: at N = 1024 that is 1024 int8 frames or 128 float64 ones.
+# Its LLRs and its stage memory, about as large again, then stay in a 2 MB L2
+# cache while the plan walks them, and big batches keep a small heap.
 _BLOCK_FRAMES = 1024
 _BLOCK_BYTES = 1 << 20
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import subprocess
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
@@ -47,8 +46,7 @@ class SimConfig:
     chunk_frames: int = 256
     rng_seed: int = 0
     # processes that run the chunks; every chunk, in process or in a pool worker, draws its
-    # noise on one helper thread, up to three transmit calls ahead, bit-identical to a
-    # serial draw
+    # noise on one helper thread, one transmit call ahead, bit-identical to a serial draw
     workers: int = 1
     zero_noise: bool = False
 
@@ -57,6 +55,8 @@ class SimConfig:
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
             object.__setattr__(self, name, int(getattr(self, name)))
+        if isinstance(self.snr_grid_db, (str, bytes)):
+            raise ValueError(f"snr_grid_db must be a sequence, not {self.snr_grid_db!r}")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be non-empty")
@@ -72,6 +72,8 @@ class SimConfig:
         for name in ("max_frames", "target_errors", "chunk_frames", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.arithmetic == "fixed":
             saturation_limit(self.q_ch)
             saturation_limit(self.q_int)
@@ -183,25 +185,24 @@ def _build_layout(config: SimConfig):
 
 
 class _NoiseAhead:
-    """The chunk Generator's standard_normal for transmit, drawn up to ahead
-    calls ahead on one helper thread. Calls must ask for (n, N) arrays, n
-    running through counts in order. Draw i fills buffer i mod (ahead + 1) of
-    ahead + 1 float64 buffers, allocated here, with rng.standard_normal(out=...),
-    which runs without the GIL, so later calls' noise is drawn while the caller
-    encodes, decodes and counts. Call i queues draw i + ahead into the buffer
-    of draw i - 1, so a returned array is overwritten only after the next call.
-    The helper draws in queue order, so the Generator's stream is read as by
-    serial calls, and every value is theirs."""
+    """The chunk Generator's standard_normal for transmit, drawn one call ahead
+    on one helper thread. Calls must ask for (n, N) arrays, n running through
+    counts in order. Draw i fills buffer i mod 2 of two float64 buffers,
+    allocated here, with rng.standard_normal(out=...), which runs without the
+    GIL, so the next call's noise is drawn while the caller encodes, decodes
+    and counts. Call i submits draw i + 1 into the buffer of draw i - 1, so a
+    returned array is overwritten only after the next call. The helper draws
+    in call order, so the Generator's stream is read as by serial calls, and
+    every value is theirs."""
 
-    def __init__(self, rng, counts, N: int, ahead: int):
-        buffers = [np.empty(max(counts) * N) for _ in range(ahead + 1)]
+    def __init__(self, rng, counts, N: int):
+        buffers = [np.empty(max(counts) * N) for _ in range(2)]
         self._outs = (b[:n * N].reshape(n, N) for n, b in zip(counts, cycle(buffers)))
-        self._rng, self._ahead, self._pending = rng, ahead, deque()
+        self._rng = rng
 
     def __enter__(self):
         self._pool = ThreadPoolExecutor(max_workers=1)
-        for _ in range(self._ahead):
-            self._submit()
+        self._submit()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -210,10 +211,10 @@ class _NoiseAhead:
     def _submit(self) -> None:
         out = next(self._outs, None)
         if out is not None:
-            self._pending.append(self._pool.submit(self._rng.standard_normal, out=out))
+            self._pending = self._pool.submit(self._rng.standard_normal, out=out)
 
     def standard_normal(self, shape) -> np.ndarray:
-        noise = self._pending.popleft().result()
+        noise = self._pending.result()
         if noise.shape != tuple(shape):
             raise ValueError(f"noise drawn for shape {noise.shape}, asked for {shape}")
         self._submit()
@@ -226,17 +227,13 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
 
     The messages are drawn in one call, since drawing them in pieces would
     depend on numpy's byte buffering, and packed at once, K/8 bytes a frame.
-    Encode, channel, decode and error count then run one decode block of the
-    LLR dtype at a time (decoder._block_frames: 128 float64 or 1024 int8
-    frames at N = 1024), each unpacking only its own messages. In both
-    arithmetics each transmit call sends one float64 decode block of frames,
-    so a fixed-point block is sent in several calls (8 at N = 1024), each
-    quantized into the block's int8 LLRs. Bit errors are counted on packed
-    bytes. The noise is drawn on one helper thread (_NoiseAhead) as many
-    calls ahead as a decode block makes, up to three, so it keeps drawing
-    through a fixed-point decode. It reads the chunk's one Generator in frame
-    order, so the LLRs are bit-identical to those of a whole-chunk transmit,
-    in process and in a pool worker alike."""
+    Encode, transmit, quantizer in fixed point, decode and error count then
+    run one float64 decode block at a time (decoder._block_frames: 128 frames
+    at N = 1024) in both arithmetics, each unpacking only its own messages.
+    Bit errors are counted on packed bytes. The noise is drawn one block
+    ahead on one helper thread (_NoiseAhead). It reads the chunk's one
+    Generator in frame order, so the LLRs are bit-identical to those of a
+    whole-chunk transmit, in process and in a pool worker alike."""
     seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
     rng = np.random.default_rng(seed)
     messages = np.packbits(rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8), axis=-1)
@@ -248,27 +245,19 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     scale = config.llr_scale
     if fixed and scale is None:
         scale = default_llr_scale(config.q_ch, snr_db, config.modulation)
-    block_frames = _block_frames(code.N, np.int8 if fixed else np.float64)
-    channel_frames = _block_frames(code.N, np.float64)  # frames per transmit call
-    calls = [n for block in _pieces(frames, block_frames) for n in _pieces(block, channel_frames)]
-    ahead = min(3, block_frames // channel_frames)  # transmit calls per decode block, capped
+    block_frames = _block_frames(code.N, np.float64)
     errors = np.empty(frames, dtype=np.int64)  # bit errors per frame
-    noise = nullcontext(rng) if config.zero_noise else _NoiseAhead(rng, calls, code.N, ahead)
+    noise = nullcontext(rng) if config.zero_noise else \
+        _NoiseAhead(rng, _pieces(frames, block_frames), code.N)
     with noise as source:
         for lo in range(0, frames, block_frames):
             block = slice(lo, lo + block_frames)
             codewords = encode(code, np.unpackbits(messages[block], axis=-1, count=code.K))
-            if fixed:
-                llr = np.empty(codewords.shape, dtype=np.int8)
-                for start in range(0, len(llr), channel_frames):
-                    part = slice(start, start + channel_frames)
-                    channel = transmit(codewords[part], snr_db, config.modulation, source,
-                                       zero_noise=config.zero_noise)
-                    llr[part] = quantize_channel(channel, config.q_ch, scale).value
-            else:
-                llr = transmit(codewords, snr_db, config.modulation, source,
-                               zero_noise=config.zero_noise)
+            llr = transmit(codewords, snr_db, config.modulation, source,
+                           zero_noise=config.zero_noise)
             del codewords  # the decode needs only the LLRs
+            if fixed:
+                llr = quantize_channel(llr, config.q_ch, scale).value
             decoded = np.packbits(fast_sc_decode(code, llr, width=width).info_bits, axis=-1)
             errors[block] = ones.take(decoded ^ messages[block]).sum(axis=-1)
     return frames, int(np.count_nonzero(errors)), int(errors.sum())

@@ -172,6 +172,15 @@ def test_simulate_unknown_key_exits_one(tmp_path, capsys):
     assert "snr" in capsys.readouterr().err
 
 
+def test_simulate_repeated_key_exits_one(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    config.write_text(config.read_text() + "n = 128\n")
+    lineno = len(config.read_text().splitlines())
+    assert main(["simulate", str(config)]) == 1
+    assert f"line {lineno}: repeated config key 'n'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_unwritable_output_exits_three(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "layout.json"
     assert main(["construct", "--n", "64", "--k", "48", "--out", str(out)]) == 3
