@@ -7,10 +7,16 @@ import math
 from .core import CodeSpec, PatternTag, TraversalStats
 from .decoder import _F, PatternLimits, decode_plan
 
-STATS_CSV_HEADER = (
-    "N,K,terminal_nodes,visited_nodes,edges,edges_directed,f_ops,"
-    + ",".join(tag.value for tag in PatternTag if tag is not PatternTag.SLOW)
-)
+
+def _csv_fields(stats: TraversalStats) -> dict:
+    """stats.as_dict() flattened: its counters, then a node count per fast tag."""
+    fields = stats.as_dict()
+    histogram = fields.pop("histogram")
+    return fields | {tag.value: histogram.get(tag.value, 0)
+                     for tag in PatternTag if tag is not PatternTag.SLOW}
+
+
+STATS_CSV_HEADER = ",".join(["N", "K", *_csv_fields(TraversalStats(0, 0, 0, {}))])
 
 
 def traversal_stats(layout: CodeSpec, limits: PatternLimits | None = None) -> TraversalStats:
@@ -65,8 +71,4 @@ def reduction_ratios(baseline: TraversalStats, other: TraversalStats) -> dict:
 
 def stats_csv_row(layout: CodeSpec, stats: TraversalStats) -> str:
     """One CSV row matching STATS_CSV_HEADER."""
-    tags = [tag for tag in PatternTag if tag is not PatternTag.SLOW]
-    counts = [stats.histogram.get(tag, 0) for tag in tags]
-    fields = [layout.N, layout.K, stats.terminal_nodes, stats.visited_nodes,
-              stats.edges, 2 * stats.edges, stats.f_ops, *counts]
-    return ",".join(str(v) for v in fields)
+    return ",".join(map(str, [layout.N, layout.K, *_csv_fields(stats).values()]))

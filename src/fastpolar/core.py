@@ -8,10 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-try:  # the ufunc under np.clip, without np.clip's per-call Python layer
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy 1
-    from numpy.core.umath import clip as _clip
+from numpy._core.umath import clip as _clip  # np.clip's ufunc, without its per-call Python layer
 
 SEGMENT_SIZE = 16
 
@@ -154,6 +151,15 @@ class CodeSpec:
         return positions
 
     @cached_property
+    def info_gather(self) -> np.ndarray:
+        """Read-only u-index of each info bit, built once for encode and decode: a
+        BCH segment's message sits one place below its canonical placeholders."""
+        positions = self.info_positions
+        gather = positions - np.isin(positions // SEGMENT_SIZE, list(self.bch_segments))
+        gather.flags.writeable = False
+        return gather
+
+    @cached_property
     def frozen_mask(self) -> np.ndarray:
         """Read-only boolean mask over u-domain indices, True where frozen."""
         mask = np.ones(self.N, dtype=bool)
@@ -199,10 +205,11 @@ def canonical_frozen_mask(k) -> np.ndarray:
 
 
 def saturation_limit(width: int) -> int:
-    """Largest representable magnitude for a symmetric width-bit LLR."""
-    if not MIN_WIDTH <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {width}")
-    return (1 << (width - 1)) - 1
+    """Largest representable magnitude for a symmetric width-bit LLR; the one
+    width gate, raising ValueError for anything but an integer in range."""
+    if not _is_integer(width) or not MIN_WIDTH <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be an integer in [{MIN_WIDTH}, {MAX_WIDTH}], got {width!r}")
+    return (1 << (int(width) - 1)) - 1
 
 
 _LIMITS = {width: saturation_limit(width) for width in range(MIN_WIDTH, MAX_WIDTH + 1)}
@@ -210,11 +217,11 @@ _LIMITS = {width: saturation_limit(width) for width in range(MIN_WIDTH, MAX_WIDT
 
 def saturate(values: np.ndarray, width: int) -> np.ndarray:
     """Clamp signed integer or float LLRs into the symmetric width-bit range,
-    into a new array. The limit is read from a per-width table rather than
-    checked and computed per call, and the clip ufunc skips np.clip's np.iinfo
-    per Python-int bound, which costs more than the clip on a batch-1 decode's
-    arrays."""
-    limit = _LIMITS.get(width) or saturation_limit(width)
+    into a new array. An int width reads its limit from a per-width table
+    (any other, 5.0 too, goes through the gate), and the clip ufunc skips
+    np.clip's np.iinfo per Python-int bound, which costs more than the clip on
+    a batch-1 decode's arrays."""
+    limit = (type(width) is int and _LIMITS.get(width)) or saturation_limit(width)
     return _clip(values, -limit, limit)
 
 

@@ -28,7 +28,7 @@ from .core import (
     saturation_limit,
     wagner,
 )
-from .encoder import info_gather, polar_transform
+from .encoder import polar_transform
 
 
 def f_check(a, b, out=None):
@@ -181,13 +181,12 @@ DEFAULT_LIMITS = PatternLimits()
 SC_EQUIVALENT_LIMITS = PatternLimits(spc2=0, rep2=0, rpc=0, pcr=0)
 
 
-def _match_span(frozen_before, start, size, limits, bch_segments):
-    """Tag of the first NODE_SHAPES row the span matches; frozen_before[i] is
-    the number of frozen u-bits below index i."""
-    if bch_segments and size >= SEGMENT_SIZE:
-        first = start // SEGMENT_SIZE
-        if not bch_segments.keys().isdisjoint(range(first, first + size // SEGMENT_SIZE)):
-            return bch_segments[first] if size == SEGMENT_SIZE else None
+def _match_span(code, frozen_before, start, size, limits):
+    """A BCH segment's tag, None over a wider span holding one, else the first
+    NODE_SHAPES row matched; frozen_before[i] counts frozen u-bits below i."""
+    segments = code.segments[start // SEGMENT_SIZE:(start + size) // SEGMENT_SIZE]
+    if code.bch_segments and size >= SEGMENT_SIZE and not BCH_TAGS.isdisjoint(segments):
+        return segments[0] if size == SEGMENT_SIZE else None
     base = frozen_before[start]
     nf = frozen_before[start + size] - base
     for tag in NODE_SHAPES:
@@ -291,12 +290,10 @@ def _block_frames(N: int, dtype) -> int:
 @dataclass(frozen=True)
 class DecodePlan:
     """A layout's pruned tree as flat steps (kind, stage, z) in decode order for
-    _run_plan, and the counters read from them; gather indexes the info bits in
-    polar_transform(codeword, bch_blocks)."""
+    _run_plan, their counters, and the BCH blocks the read-out transforms back."""
 
     stats: TraversalStats
     steps: tuple
-    gather: np.ndarray
     bch_blocks: np.ndarray
 
 
@@ -305,7 +302,6 @@ def build_tree(code: CodeSpec, limits: PatternLimits | None = None) -> tuple:
     into decode steps (kind, stage, z): F opens a branch at its stage, G moves
     to its right child (z: the left child's bits), a node step is a leaf (z: its _Terminal)."""
     limits = limits if limits is not None else DEFAULT_LIMITS
-    bch = {t: code.segments[t] for t in code.bch_segments}
     frozen_before = [0, *np.cumsum(code.frozen_mask).tolist()]
     steps = []
 
@@ -313,7 +309,7 @@ def build_tree(code: CodeSpec, limits: PatternLimits | None = None) -> tuple:
         """Append the steps of the 2^stage-bit span at start; after holds the XORs
         that complete its ancestors once its last terminal is decoded, innermost first."""
         size = 1 << stage
-        tag = _match_span(frozen_before, start, size, limits, bch)
+        tag = _match_span(code, frozen_before, start, size, limits)
         if tag is not None:
             terminal = _Terminal(tag, _NODE_DECODERS[tag], np.s_[..., start:start + size], after)
             steps.append((_NODE, stage, terminal))
@@ -350,7 +346,7 @@ def decode_plan(code: CodeSpec, limits: PatternLimits | None = None) -> DecodePl
     plan = plans.get(limits)
     if plan is None:
         steps = build_tree(code, limits)
-        plan = plans[limits] = DecodePlan(tree_stats(steps), steps, info_gather(code),
+        plan = plans[limits] = DecodePlan(tree_stats(steps), steps,
                                           np.array(sorted(code.bch_segments), dtype=np.intp))
     return plan
 
@@ -397,5 +393,5 @@ def fast_sc_decode(code: CodeSpec, alpha, width: int | None = None,
         _run_plan(plan, frames[lo:lo + block], frame_bits[lo:lo + block], width, memory)
     del memory  # the read-out below needs only the bits
     # take, unlike [..., gather] indexing, returns C-ordered bits (7x faster at batch 4096)
-    info_bits = polar_transform(bits, plan.bch_blocks).take(plan.gather, axis=-1)
+    info_bits = polar_transform(bits, plan.bch_blocks).take(code.info_gather, axis=-1)
     return DecodeResult(info_bits=info_bits, codeword_estimate=bits, stats=plan.stats)

@@ -66,14 +66,6 @@ def polar_transform(u: np.ndarray, blocks=None) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=N)
 
 
-def info_gather(code: CodeSpec) -> np.ndarray:
-    """u-domain index of each info bit, in info order. A BCH segment's message
-    bits sit at their systematic positions in its 16-bit codeword, one place
-    below the segment's canonical placeholders."""
-    positions = code.info_positions
-    return positions - np.isin(positions // SEGMENT_SIZE, list(code.bch_segments))
-
-
 # Row m of a code's table is the u-block of its codeword row m in bch.CODEBOOKS.
 _BCH_U_BLOCKS = {tag: polar_transform(words) for tag, words in CODEBOOKS.items()}
 
@@ -92,7 +84,7 @@ def encode(code: CodeSpec, info: np.ndarray) -> np.ndarray:
     if info.dtype != np.uint8:
         info = (info != 0).view(np.uint8)
     u = np.zeros(info.shape[:-1] + (code.N,), dtype=np.uint8)
-    gather = info_gather(code)
+    gather = code.info_gather
     # one slice copy per run of consecutive u-indices: 19 runs on the fast
     # (1024, 896) layout, 4x faster than a take of every bit
     first = np.flatnonzero(np.diff(gather, prepend=-2) != 1).tolist()

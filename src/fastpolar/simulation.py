@@ -57,7 +57,12 @@ class SimConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         if isinstance(self.snr_grid_db, (str, bytes)):
             raise ValueError(f"snr_grid_db must be a sequence, not {self.snr_grid_db!r}")
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        grid = tuple(self.snr_grid_db)
+        for name, value in [("design_snr_db", self.design_snr_db), ("llr_scale", self.llr_scale),
+                            *(("snr_grid_db", s) for s in grid)]:
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} takes numbers, not the bool {value!r}")
+        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be non-empty")
         if not all(math.isfinite(s) for s in self.snr_grid_db):
@@ -230,16 +235,13 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     Encode, transmit, quantizer in fixed point, decode and error count then
     run one float64 decode block at a time (decoder._block_frames: 128 frames
     at N = 1024) in both arithmetics, each unpacking only its own messages.
-    Bit errors are counted on packed bytes. The noise is drawn one block
-    ahead on one helper thread (_NoiseAhead). It reads the chunk's one
-    Generator in frame order, so the LLRs are bit-identical to those of a
-    whole-chunk transmit, in process and in a pool worker alike."""
+    Bit errors are counted on packed bytes by np.bitwise_count. The noise
+    is drawn one block ahead on one helper thread (_NoiseAhead). It reads
+    the chunk's one Generator in frame order, so the LLRs are bit-identical
+    to those of a whole-chunk transmit, in process and in a pool worker alike."""
     seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
     rng = np.random.default_rng(seed)
     messages = np.packbits(rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8), axis=-1)
-    # ones[b] counts the set bits of byte b (np.bitwise_count needs numpy 2)
-    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=-1)
-    ones = ones.sum(axis=-1, dtype=np.uint8)
     fixed = config.arithmetic == "fixed"
     width = config.q_int if fixed else None
     scale = config.llr_scale
@@ -259,7 +261,7 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
             if fixed:
                 llr = quantize_channel(llr, config.q_ch, scale).value
             decoded = np.packbits(fast_sc_decode(code, llr, width=width).info_bits, axis=-1)
-            errors[block] = ones.take(decoded ^ messages[block]).sum(axis=-1)
+            errors[block] = np.bitwise_count(decoded ^ messages[block]).sum(axis=-1)
     return frames, int(np.count_nonzero(errors)), int(errors.sum())
 
 

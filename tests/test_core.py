@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from fastpolar.core import (
     saturation_limit,
     wagner,
 )
+from fastpolar.decoder import decode_node, fast_sc_decode, g_bit
+from fastpolar.oracle import sc_decode_baseline
+from fastpolar.simulation import default_llr_scale, quantize_channel
 
 
 def _canonical_segment(k, bch=False):
@@ -190,6 +195,28 @@ def test_saturation_limits():
     for width in (3, 9):
         with pytest.raises(ValueError):
             saturation_limit(width)
+    assert saturation_limit(np.int64(5)) == 15 and type(saturation_limit(np.uint8(5))) is int
+
+
+# Not an integer in [4, 8]: each must fail at the one gate, naming the width,
+# rather than with a TypeError or by clipping as if the width were 5.
+_BAD_WIDTHS = (5.0, "5", True, np.bool_(True), np.float64(5.0))
+
+
+def test_every_width_taker_rejects_a_non_integer_width():
+    spec = CodeSpec(N=16, K=8, info_set=range(8, 16))
+    ints, floats = np.full(16, 3, dtype=np.int8), np.linspace(-20.0, 20.0, 16)
+    takers = (saturation_limit, lambda w: saturate(floats, w),
+              lambda w: g_bit(floats, floats, np.zeros(16, np.uint8), w),
+              lambda w: sc_decode_baseline(spec, floats, width=w),
+              lambda w: fast_sc_decode(spec, ints, width=w),
+              lambda w: decode_node(PatternTag.SPC, ints, width=w),
+              lambda w: quantize_channel(floats, w, 1.0), lambda w: QuantizedLLR(ints, w),
+              lambda w: default_llr_scale(w, 3.0, "qpsk"))
+    for taker in takers:
+        for width in _BAD_WIDTHS:
+            with pytest.raises(ValueError, match=re.escape(f"got {width!r}")):
+                taker(width)
 
 
 def test_saturate_clamps_symmetrically():

@@ -8,7 +8,6 @@ from fastpolar.core import BCH_CODES, CodeSpec, PatternTag, info_count
 from fastpolar.encoder import (
     _transform_stages,
     encode,
-    info_gather,
     polar_transform,
 )
 from fastpolar.simulation import transmit
@@ -96,7 +95,7 @@ def test_transform_blocks_of_the_fast_layout_give_the_segment_codewords():
     x = encode(code, info)
     blocks = np.array(sorted(code.bch_segments), dtype=np.intp)
     u = polar_transform(x, blocks)
-    assert np.array_equal(u.take(info_gather(code), axis=-1), info)
+    assert np.array_equal(u.take(code.info_gather, axis=-1), info)
     for t in code.bch_segments:
         # a BCH segment's subtree codeword is the BCH codeword of its message
         tag = code.segments[t]
@@ -205,7 +204,7 @@ def _layout(ks):
 
 def test_info_gather_puts_bch_messages_below_the_placeholders():
     # a BCH segment's message bits sit at local offsets 15 - k to 14 of its codeword
-    gather = info_gather(_layout([7, 11]))
+    gather = _layout([7, 11]).info_gather
     assert list(gather[:7]) == list(range(8, 15))
     assert list(gather[7:]) == list(range(16 + 4, 16 + 15))
 

@@ -45,12 +45,20 @@ def test_noiseless_round_trip(code, seed, width):
     assert np.array_equal(fast_sc_decode(code, signs * magnitude).info_bits, info)
     levels = rng.integers(1, saturation_limit(width) + 1, size=signs.shape)
     assert np.array_equal(fast_sc_decode(code, signs * levels, width=width).info_bits, info)
+    # the gather both read: built once, read-only, one place lower inside BCH segments
+    gather = code.info_gather
+    assert gather is code.info_gather and not gather.flags.writeable
+    in_bch = [int(i) // SEGMENT_SIZE in code.bch_segments for i in code.info_positions]
+    assert np.array_equal(gather, code.info_positions - np.array(in_bch, dtype=np.int64))
 
 
 @FEW
 @given(code=st.one_of(layouts(kinds=("bch", "fast")), layouts()))
 def test_layout_survives_dict_and_pickle(code):
     assert pickle.loads(pickle.dumps(code)) == code
+    gather = code.info_gather
+    copied = pickle.loads(pickle.dumps(code)).info_gather
+    assert np.array_equal(copied, gather) and not copied.flags.writeable
     if code.bch_segments and PatternTag.SLOW in code.segments:
         with pytest.raises(ValueError):
             layout_to_dict(code)

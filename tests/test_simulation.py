@@ -340,8 +340,12 @@ def test_sim_config_validation():
         with pytest.raises(ValueError):
             SimConfig(**{**good, **bad})
     # a string grid would run one point per character; numpy would reject the seed mid-run
+    # a bool in a float field would run as 1.0 or 0.0
     for name, value in (("snr_grid_db", "34"), ("snr_grid_db", "7.2"), ("snr_grid_db", b"34"),
-                        ("rng_seed", -1)):
+                        ("rng_seed", -1), ("snr_grid_db", (True, 2.0)),
+                        ("snr_grid_db", [np.bool_(False)]), ("design_snr_db", True),
+                        ("design_snr_db", np.bool_(False)), ("llr_scale", True),
+                        ("llr_scale", np.bool_(True))):
         with pytest.raises(ValueError, match=name):
             SimConfig(**{**good, name: value})
     for name in ("N", "K", "q_ch", "q_int", "max_frames", "target_errors", "chunk_frames",
