@@ -160,6 +160,15 @@ class CodeSpec:
         return gather
 
     @cached_property
+    def info_runs(self) -> tuple[tuple[slice, slice], ...]:
+        """(u-slice, info-slice) of each run of consecutive indices in info_gather,
+        built once for encode: 19 runs on the fast (1024, 896) layout."""
+        gather = self.info_gather
+        first = np.flatnonzero(np.diff(gather, prepend=-2) != 1).tolist()
+        return tuple((slice(u, u + hi - lo), slice(lo, hi))
+                     for u, lo, hi in zip(gather[first].tolist(), first, [*first[1:], self.K]))
+
+    @cached_property
     def frozen_mask(self) -> np.ndarray:
         """Read-only boolean mask over u-domain indices, True where frozen."""
         mask = np.ones(self.N, dtype=bool)

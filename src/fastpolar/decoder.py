@@ -16,6 +16,8 @@ from .bch import bch_node_decode
 from .core import (
     BCH_CODES,
     BCH_TAGS,
+    MAX_WIDTH,
+    MIN_WIDTH,
     NODE_SHAPES,
     SEGMENT_SIZE,
     CodeSpec,
@@ -29,6 +31,8 @@ from .core import (
     wagner,
 )
 from .encoder import polar_transform
+
+_NARROW_WIDTHS = frozenset(range(MIN_WIDTH, MAX_WIDTH))  # widths of g_bit's int8 early path
 
 
 def f_check(a, b, out=None):
@@ -57,7 +61,7 @@ def g_bit(a, b, u, width=None, out=None):
     as the decoder's are, and the saturated sum is copied back into out. NaN
     propagates, unchecked.
     """
-    if out is not None and out.dtype == np.int8 and width is not None and width <= 7:
+    if out is not None and out.dtype == np.int8 and width in _NARROW_WIDTHS:
         sign = np.negative(u.view(np.int8))
         np.bitwise_xor(a, sign, out=out)
         out -= sign

@@ -84,12 +84,9 @@ def encode(code: CodeSpec, info: np.ndarray) -> np.ndarray:
     if info.dtype != np.uint8:
         info = (info != 0).view(np.uint8)
     u = np.zeros(info.shape[:-1] + (code.N,), dtype=np.uint8)
-    gather = code.info_gather
-    # one slice copy per run of consecutive u-indices: 19 runs on the fast
-    # (1024, 896) layout, 4x faster than a take of every bit
-    first = np.flatnonzero(np.diff(gather, prepend=-2) != 1).tolist()
-    for lo, hi in zip(first, [*first[1:], code.K]):
-        u[..., gather[lo]:gather[lo] + hi - lo] = info[..., lo:hi]
+    # one slice copy per run of consecutive u-indices, 4x faster than a take of every bit
+    for u_run, info_run in code.info_runs:
+        u[..., u_run] = info[..., info_run]
     for t in code.bch_segments:
         block = u[..., SEGMENT_SIZE * t:SEGMENT_SIZE * (t + 1)]
         tag = code.segments[t]

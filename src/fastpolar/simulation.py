@@ -22,8 +22,6 @@ from .encoder import encode
 _MODULATIONS = {"bpsk": 1, "qpsk": 2}  # bits per symbol
 _LAYOUTS = ("ga", "fast")
 _ARITHMETIC = ("float", "fixed")
-# LLRs quantize_channel rounds at a time: its 256 kB float64 scratch block stays in cache.
-_QUANTIZE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -157,30 +155,24 @@ def default_llr_scale(width: int, snr_db: float, modulation: str) -> float:
 
 
 def quantize_channel(llr, width: int, scale: float) -> QuantizedLLR:
-    """Round llr * scale into the symmetric width-bit range, as int8.
-
-    The products are rounded and clipped in place, a cache-sized block at a
-    time, and each block is narrowed once; llr is left as it was. A scalar
-    llr gives an np.int8 value. +-inf clips to the rail; a NaN, whose cast to
-    int8 is the one invalid operation here, raises ValueError.
-    """
+    """Round llr * scale into the symmetric width-bit range, as int8; llr is
+    left as it was, and a scalar llr gives an np.int8 value. LLRs of any dtype
+    but float or integer raise ValueError. +-inf clips to the rail; a NaN,
+    whose cast to int8 is the one invalid operation here, raises ValueError."""
     if not 0 < scale < math.inf:
         raise ValueError(f"scale must be finite and positive, got {scale}")
     limit = saturation_limit(width)
     llr = np.asarray(llr)
-    out = np.empty(llr.shape, dtype=np.int8)
-    flat, narrow = llr.reshape(-1), out.reshape(-1)
-    buffer = np.empty(min(flat.size, _QUANTIZE_BLOCK))
-    with np.errstate(invalid="raise"):
-        for lo in range(0, flat.size, _QUANTIZE_BLOCK):
-            block = buffer[:flat.size - lo]
-            np.multiply(flat[lo:lo + _QUANTIZE_BLOCK], scale, out=block)
-            np.rint(block, out=block)
-            _clip(block, -limit, limit, out=block)  # skips np.clip's per-call Python layer
-            try:
-                narrow[lo:lo + _QUANTIZE_BLOCK] = block
-            except FloatingPointError:
-                raise ValueError("LLRs must not be NaN") from None
+    if llr.dtype.kind not in "fiu":
+        raise ValueError(f"LLRs must be float or integer, got dtype {llr.dtype}")
+    scaled = np.multiply(llr, scale, out=np.empty(llr.shape))
+    np.rint(scaled, out=scaled)
+    _clip(scaled, -limit, limit, out=scaled)  # skips np.clip's per-call Python layer
+    try:
+        with np.errstate(invalid="raise"):
+            out = scaled.astype(np.int8)
+    except FloatingPointError:
+        raise ValueError("LLRs must not be NaN") from None
     return QuantizedLLR(out[()] if out.ndim == 0 else out, width)
 
 
@@ -191,18 +183,19 @@ def _build_layout(config: SimConfig):
 
 class _NoiseAhead:
     """The chunk Generator's standard_normal for transmit, drawn one call ahead
-    on one helper thread. Calls must ask for (n, N) arrays, n running through
-    counts in order. Draw i fills buffer i mod 2 of two float64 buffers,
-    allocated here, with rng.standard_normal(out=...), which runs without the
-    GIL, so the next call's noise is drawn while the caller encodes, decodes
-    and counts. Call i submits draw i + 1 into the buffer of draw i - 1, so a
-    returned array is overwritten only after the next call. The helper draws
-    in call order, so the Generator's stream is read as by serial calls, and
-    every value is theirs."""
+    on one helper thread. Calls must ask for the (n, N) blocks of frames in
+    order, block frames each and the last one partial. Draw i fills buffer
+    i mod 2 of two float64 buffers with rng.standard_normal(out=...), which
+    runs without the GIL, so the next call's noise is drawn while the caller
+    encodes, decodes and counts. Call i submits draw i + 1 into the buffer of
+    draw i - 1, so a returned array is overwritten only after the next call.
+    The helper draws in call order, so the Generator's stream is read as by
+    serial calls, and every value is theirs."""
 
-    def __init__(self, rng, counts, N: int):
-        buffers = [np.empty(max(counts) * N) for _ in range(2)]
-        self._outs = (b[:n * N].reshape(n, N) for n, b in zip(counts, cycle(buffers)))
+    def __init__(self, rng, frames: int, block: int, N: int):
+        buffers = [np.empty(min(block, frames) * N) for _ in range(2)]
+        self._outs = (b[:min(block, frames - lo) * N].reshape(-1, N)
+                      for lo, b in zip(range(0, frames, block), cycle(buffers)))
         self._rng = rng
 
     def __enter__(self):
@@ -231,14 +224,12 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     """Simulate one deterministic chunk; returns (frames, frame_errors, bit_errors).
 
     The messages are drawn in one call, since drawing them in pieces would
-    depend on numpy's byte buffering, and packed at once, K/8 bytes a frame.
-    Encode, transmit, quantizer in fixed point, decode and error count then
-    run one float64 decode block at a time (decoder._block_frames: 128 frames
-    at N = 1024) in both arithmetics, each unpacking only its own messages.
-    Bit errors are counted on packed bytes by np.bitwise_count. The noise
-    is drawn one block ahead on one helper thread (_NoiseAhead). It reads
-    the chunk's one Generator in frame order, so the LLRs are bit-identical
-    to those of a whole-chunk transmit, in process and in a pool worker alike."""
+    depend on numpy's byte buffering, and each block unpacks only its own.
+    Both arithmetics run one float64 decode block (decoder._block_frames: 128
+    frames at N = 1024) per transmit call. The noise is drawn one block ahead
+    (_NoiseAhead) from the chunk's one Generator in frame order, so the LLRs
+    are bit-identical to those of a whole-chunk transmit, in process and in a
+    pool worker alike."""
     seed = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(point_idx, chunk_idx))
     rng = np.random.default_rng(seed)
     messages = np.packbits(rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8), axis=-1)
@@ -250,7 +241,7 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
     block_frames = _block_frames(code.N, np.float64)
     errors = np.empty(frames, dtype=np.int64)  # bit errors per frame
     noise = nullcontext(rng) if config.zero_noise else \
-        _NoiseAhead(rng, _pieces(frames, block_frames), code.N)
+        _NoiseAhead(rng, frames, block_frames, code.N)
     with noise as source:
         for lo in range(0, frames, block_frames):
             block = slice(lo, lo + block_frames)
@@ -263,11 +254,6 @@ def _chunk_counts(code, config: SimConfig, snr_db: float, point_idx: int,
             decoded = np.packbits(fast_sc_decode(code, llr, width=width).info_bits, axis=-1)
             errors[block] = np.bitwise_count(decoded ^ messages[block]).sum(axis=-1)
     return frames, int(np.count_nonzero(errors)), int(errors.sum())
-
-
-def _pieces(total: int, size: int) -> list:
-    """Lengths of the consecutive size-long pieces of total, the last one partial."""
-    return [min(size, total - lo) for lo in range(0, total, size)]
 
 
 def _pooled(jobs, workers: int):

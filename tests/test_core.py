@@ -208,6 +208,7 @@ def test_every_width_taker_rejects_a_non_integer_width():
     ints, floats = np.full(16, 3, dtype=np.int8), np.linspace(-20.0, 20.0, 16)
     takers = (saturation_limit, lambda w: saturate(floats, w),
               lambda w: g_bit(floats, floats, np.zeros(16, np.uint8), w),
+              lambda w: g_bit(ints, ints, np.zeros(16, np.uint8), w, out=np.empty(16, np.int8)),
               lambda w: sc_decode_baseline(spec, floats, width=w),
               lambda w: fast_sc_decode(spec, ints, width=w),
               lambda w: decode_node(PatternTag.SPC, ints, width=w),

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,25 @@ def test_info_gather_puts_bch_messages_below_the_placeholders():
     gather = _layout([7, 11]).info_gather
     assert list(gather[:7]) == list(range(8, 15))
     assert list(gather[7:]) == list(range(16 + 4, 16 + 15))
+
+
+def test_info_runs_are_built_once_read_only_and_rebuilt_after_a_pickle():
+    code = construct_fast_polar(1024, 896)
+    runs = code.info_runs
+    assert len(runs) == 19
+    # the u-runs list info_gather in order, and the info-runs tile the K info bits
+    assert np.array_equal(np.concatenate([np.arange(code.N)[u] for u, _ in runs]),
+                          code.info_gather)
+    assert [i for _, bits in runs for i in range(code.K)[bits]] == list(range(code.K))
+    encode(code, np.ones((2, code.K), dtype=np.uint8))
+    assert code.info_runs is runs
+    with pytest.raises(TypeError):
+        runs[0] = runs[1]
+    with pytest.raises(AttributeError):
+        runs[0][0].start = 0
+    copy = pickle.loads(pickle.dumps(code))
+    assert "info_runs" not in vars(copy)
+    assert copy.info_runs == runs and copy.info_runs is not runs
 
 
 def test_encode_bch_segment_u_block():

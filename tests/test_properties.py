@@ -59,6 +59,7 @@ def test_layout_survives_dict_and_pickle(code):
     gather = code.info_gather
     copied = pickle.loads(pickle.dumps(code)).info_gather
     assert np.array_equal(copied, gather) and not copied.flags.writeable
+    assert pickle.loads(pickle.dumps(code)).info_runs == code.info_runs
     if code.bch_segments and PatternTag.SLOW in code.segments:
         with pytest.raises(ValueError):
             layout_to_dict(code)

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -87,6 +88,10 @@ def test_quantize_channel_examples():
     q = quantize_channel(np.array([0.4, -0.6, 100.0]), 4, 1.0)
     assert q.width == 4
     assert list(q.value) == [0, -1, 7]
+    for dtype in (np.int8, np.uint8, np.int64, np.float16, np.float32):
+        llr = np.array([0, 3, 100, 7]).astype(dtype)
+        assert quantize_channel(llr, 5, 0.37).value.tolist() == \
+            _reference_quantize(llr, 5, 0.37).tolist()
     for scale in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             quantize_channel(1.0, 5, scale)
@@ -98,9 +103,17 @@ def test_quantize_channel_rejects_nan_and_clips_inf_to_the_rail():
     assert quantize_channel(-math.inf, 6, 0.5).value == -31
     for bad in (math.nan, np.array([0.4, math.nan]), np.full((2, 1 << 16), 1.0)):
         if np.ndim(bad) == 2:
-            bad[1, -1] = math.nan   # in the second quantizer block
+            bad[1, -1] = math.nan   # the last of 2^17 LLRs
         with pytest.raises(ValueError, match="NaN"):
             quantize_channel(bad, 5, 2.0)
+
+
+@pytest.mark.parametrize("llr", [np.array([True, False]), True, np.array([1.0 + 2.0j]),
+                                 np.array(["1.5"]), np.array([1.5], dtype=object)],
+                         ids=["bool", "python-bool", "complex", "str", "object"])
+def test_quantize_channel_takes_only_float_or_integer_llrs(llr):
+    with pytest.raises(ValueError, match=re.escape(f"got dtype {np.asarray(llr).dtype}")):
+        quantize_channel(llr, 5, 1.0)
 
 
 def _reference_transmit(codeword, snr_db, modulation, rng, zero_noise=False):
@@ -124,7 +137,7 @@ def _reference_quantize(llr, width, scale):
 @pytest.mark.parametrize("zero_noise", [False, True])
 def test_in_place_channel_matches_the_reference_chain(modulation, snr_db, zero_noise):
     bits_rng = np.random.default_rng(97)
-    # (40, 1024) spans two of quantize_channel's blocks, the second one partial
+    # (40, 1024): a 40-frame batch at the paper's N
     for shape in ((), (16,), (7, 16), (3, 5, 16), (40, 1024)):
         codeword = bits_rng.integers(0, 2, size=shape, dtype=np.uint8)
         inputs = [codeword, int(codeword)] if shape == () else [codeword]
@@ -241,13 +254,13 @@ def test_packed_error_counts_match_one_shot_chunks(monkeypatch, arithmetic, layo
 @pytest.mark.parametrize("N, block", [(1024, 128), (32, 1024), (16, 7)])
 def test_noise_drawn_ahead_equals_one_draw_of_the_whole_schedule(N, block):
     # 1100 frames: full decode blocks, then a partial one, one transmit call each
-    calls = simulation._pieces(1100, block)
-    assert 1100 % block and sum(calls) == 1100
+    calls = [block] * (1100 // block) + [1100 % block]
+    assert 1100 % block
     whole = np.random.default_rng(59).standard_normal((1100, N))
     draws, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
     try:
-        with simulation._NoiseAhead(np.random.default_rng(59), calls, N) as source:
+        with simulation._NoiseAhead(np.random.default_rng(59), 1100, block, N) as source:
             for n in calls:
                 noise = source.standard_normal((n, N))
                 draws.append(noise.copy())
@@ -262,13 +275,27 @@ def test_a_drawn_array_is_left_alone_until_the_next_call():
     calls = [128] * 10 + [76]
     whole = np.random.default_rng(61).standard_normal((sum(calls), 64))
     lo = 0
-    with simulation._NoiseAhead(np.random.default_rng(61), calls, 64) as source:
+    with simulation._NoiseAhead(np.random.default_rng(61), sum(calls), 128, 64) as source:
         for n in calls:
             noise = source.standard_normal((n, 64))
             held = noise.copy()
             time.sleep(0.02)
             assert noise.tobytes() == held.tobytes() == whole[lo:lo + n].tobytes()
             lo += n
+
+
+@pytest.mark.parametrize("asked, drawn", [([(100, 64)], (128, 64)),
+                                          ([(128, 64)] * 3, (44, 64))])
+def test_noise_asked_for_off_the_schedule_raises_and_the_helper_ends(asked, drawn):
+    # 300 frames in 128-frame blocks: two full draws, then one of 44 frames
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=re.escape(
+            f"noise drawn for shape {drawn}, asked for {asked[-1]}")):
+        with simulation._NoiseAhead(np.random.default_rng(67), 300, 128, 64) as source:
+            assert threading.active_count() == before + 1
+            for shape in asked:
+                source.standard_normal(shape)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("arithmetic", ["float", "fixed"])
